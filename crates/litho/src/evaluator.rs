@@ -2,7 +2,7 @@
 //! to re-simulate only what changed.
 
 use crate::epe::{measure_epe, EpeReport};
-use crate::pipeline::{aerial_window, DerivedImage, SimWorkspace, TapsCache, MAX_SUB_WINDOWS};
+use crate::pipeline::{aerial_window, plan_windows, DerivedImage, SimWorkspace, MAX_SUB_WINDOWS};
 use crate::pool::PooledWorkspace;
 use crate::process::ProcessCorner;
 use crate::pvband::{pv_band_area, pv_band_area_in};
@@ -29,12 +29,17 @@ pub struct RefreshStats {
 /// A stateful evaluation session over one mask.
 ///
 /// Created by [`LithoSimulator::evaluator`]. The evaluator owns the mask and
-/// a [`crate::SimWorkspace`]; [`Self::apply_moves`] re-rasterises and re-convolves
-/// only the dirty rectangle reported by the mask (padded by the kernel
-/// radius), falling back to a full refresh when more than half the raster is
-/// dirty. Results are identical to stateless evaluation — the incremental
-/// path recomputes exactly the pixels a full pass would produce for the new
-/// mask, bit for bit.
+/// a [`crate::SimWorkspace`] holding the mask raster and one cached aerial
+/// image per defocus value read so far. Images follow one rule: *invalidate
+/// on rebuild, compute on first read*. Opening a session (or a dirty rect
+/// that misses the raster) rasterises the whole mask and only marks the
+/// cached images stale; [`Self::epe`], [`Self::evaluate`], [`Self::aerial`]
+/// and [`Self::pv_band_in`] compute a stale image over the mask content
+/// when they first read it. [`Self::apply_moves`] re-rasterises only the
+/// dirty pixels and re-convolves every valid image over the windows one
+/// planner chooses. Results are identical to stateless evaluation — the
+/// incremental path recomputes exactly the pixels a full pass would produce
+/// for the new mask, bit for bit.
 ///
 /// ```
 /// use camo_geometry::{Clip, Coord, FragmentationParams, MaskState, Rect};
@@ -56,7 +61,8 @@ pub struct RefreshStats {
 /// [`crate::LithoContext`] (kernel taps, thresholds) and checks its
 /// [`crate::SimWorkspace`] out of the simulator's [`crate::WorkspacePool`];
 /// dropping the evaluator returns the workspace for the next session to
-/// reuse.
+/// reuse. A recycled workspace keeps its image buffers but starts with every
+/// image stale, so a session convolves only the images it reads.
 #[derive(Debug)]
 pub struct MaskEvaluator<'a> {
     sim: &'a LithoSimulator,
@@ -82,7 +88,7 @@ impl<'a> MaskEvaluator<'a> {
             last_refresh: RefreshStats::default(),
         };
         eval.ws.reserve_row_acc();
-        eval.full_rasterize();
+        eval.rebuild();
         eval
     }
 
@@ -110,18 +116,23 @@ impl<'a> MaskEvaluator<'a> {
     /// dirty region (see [`MaskState::apply_moves`] for the movement
     /// semantics and panics).
     ///
-    /// The refresh is *bitmask-sparse*: each moved segment's dirty rect is
-    /// marked into a per-row bitmask (one bit per pixel, one `u64` word per
-    /// 64 pixels) and only the marked spans inside the union dirty window
-    /// are re-rasterised and re-convolved — distant simultaneous moves no
-    /// longer pay for the empty area between them. Results stay
-    /// bit-identical to the dense path and to a fresh full evaluation.
+    /// Each moved segment's dirty rect is marked into a per-row bitmask (one
+    /// bit per pixel, one `u64` word per 64 pixels), and only the marked
+    /// spans inside the union dirty window are re-rasterised — distant
+    /// simultaneous moves do not pay for the empty area between them. Every
+    /// valid cached image is then re-convolved over the windows the planner
+    /// derives from those spans: each span grown by the image's tap radius,
+    /// overlapping or nearby halos merged while their bounding box is no
+    /// dearer to convolve, and the whole plan capped at one re-convolution
+    /// of the mask content. Stale images are left for their first read.
+    /// Results stay bit-identical to a fresh full evaluation.
     pub fn apply_moves(&mut self, moves: &[Coord]) {
         let mut rects = std::mem::take(&mut self.ws.dirty_rects);
         let dirty = self.mask.apply_moves_into(moves, &mut rects);
         self.ws.dirty_rects = rects;
-        let Some(dirty_nm) = dirty else { return };
-        self.refresh_dirty_sparse(dirty_nm);
+        if let Some(dirty_nm) = dirty {
+            self.refresh(dirty_nm);
+        }
     }
 
     /// Pixel accounting of the most recent raster refresh (construction
@@ -135,7 +146,10 @@ impl<'a> MaskEvaluator<'a> {
         let before = self.mask.offsets()[id];
         self.mask.move_segment(id, delta);
         if self.mask.offsets()[id] != before {
-            self.refresh_dirty(self.mask.segment_refresh_rect(id));
+            let rect = self.mask.segment_refresh_rect(id);
+            self.ws.dirty_rects.clear();
+            self.ws.dirty_rects.push(rect);
+            self.refresh(rect);
         }
     }
 
@@ -209,32 +223,26 @@ impl<'a> MaskEvaluator<'a> {
         &self.ws.slots[slot].img
     }
 
-    /// Rebuilds the raster and every cached image from scratch.
-    fn full_rasterize(&mut self) {
-        let raster_span = StageSpan::enter(self.sim.trace_sink(), Stage::Rasterize);
+    /// Rasterises the whole mask from scratch and marks every cached image
+    /// stale; each is recomputed on its next read.
+    fn rebuild(&mut self) {
+        let _span = StageSpan::enter(self.sim.trace_sink(), Stage::Rasterize);
         let ws = &mut *self.ws;
-        ws.raster.data_mut().fill(0.0);
-        let full = ws.raster.full_window();
-        let mut content: Option<Rect> = None;
-        for i in 0..self.mask.clip().targets().len() {
-            let mut verts = std::mem::take(&mut ws.polys[i]);
-            self.mask.moved_polygon_vertices(i, &mut verts);
-            ws.raster
-                .fill_polygon_coverage_in(&verts, 1.0, full, &mut ws.cov);
-            content = union_rect(content, vertex_bbox(&verts));
-            ws.polys[i] = verts;
-        }
-        for &sraf in self.mask.sraf_rects() {
-            ws.raster.fill_rect_coverage_in(sraf, 1.0, full);
-            content = union_rect(content, Some(sraf));
-        }
+        let polys = move_polygons(ws, &self.mask);
+        let content = ws.polys[..polys]
+            .iter()
+            .filter_map(|verts| vertex_bbox(verts))
+            .chain(self.mask.sraf_rects().iter().copied())
+            .reduce(|a, b| a.union(&b));
         ws.content = content.and_then(|r| ws.raster.pixel_window(r));
-        if let Some(win) = ws.content {
-            ws.raster.clamp_window(win, 0.0, 1.0);
-        }
+        // All coverage lies inside the content window, so once the raster
+        // is zeroed only that window needs filling.
+        ws.raster.data_mut().fill(0.0);
+        ws.sub_windows.clear();
+        ws.sub_windows.extend(ws.content);
+        fill_sub_windows(ws, &self.mask, polys);
         for slot in &mut ws.slots {
             slot.valid = false;
-            slot.pending = None;
         }
         let total = ws.raster.width() * ws.raster.height();
         self.last_refresh = RefreshStats {
@@ -243,224 +251,110 @@ impl<'a> MaskEvaluator<'a> {
             sub_windows: 1,
             full: true,
         };
-        drop(raster_span);
-        for i in 0..self.ws.slots.len() {
-            self.refresh_slot(i);
-        }
     }
 
-    /// Re-rasterises the dirty window densely and refreshes every cached
-    /// image, or falls back to a full refresh when the window dominates the
-    /// raster. Single-rect callers ([`Self::move_segment`], tests) use this
-    /// directly; [`Self::apply_moves`] goes through the sparse path.
-    fn refresh_dirty(&mut self, dirty_nm: Rect) {
+    /// Re-simulates after the mask changed inside `dirty_nm`, the union of
+    /// the per-segment rects in `ws.dirty_rects`: re-rasterises the
+    /// bitmask-marked sub-windows of the dirty window (the window itself
+    /// when the decomposition overflows [`MAX_SUB_WINDOWS`] or covers it
+    /// anyway), then brings every valid cached image up to date.
+    fn refresh(&mut self, dirty_nm: Rect) {
         // The mask has already mutated by the time we get here, so a dirty
         // rect that misses the raster (or degenerates when snapped to pixel
         // boundaries) must still trigger a rebuild — early-returning would
         // leave the raster and every cached aerial image stale.
         let ws = &mut *self.ws;
         let Some(win) = ws.raster.pixel_window(dirty_nm) else {
-            self.full_rasterize();
+            self.rebuild();
             return;
         };
-        let total = ws.raster.width() * ws.raster.height();
-        if win.area() * 2 > total {
-            self.full_rasterize();
-            return;
-        }
-        self.refresh_window_dense(win);
-    }
-
-    /// Re-rasterises only the bitmask-marked spans of the dirty window,
-    /// using the per-segment rects of the last
-    /// [`MaskState::apply_moves_into`] (in `ws.dirty_rects`). Falls back to
-    /// the dense window when the union is small anyway, the decomposition
-    /// overflows [`MAX_SUB_WINDOWS`], or the sparse area is no smaller.
-    fn refresh_dirty_sparse(&mut self, dirty_nm: Rect) {
-        let ws = &mut *self.ws;
-        let Some(win) = ws.raster.pixel_window(dirty_nm) else {
-            self.full_rasterize();
-            return;
-        };
-        let total = ws.raster.width() * ws.raster.height();
-        if win.area() * 2 > total {
-            self.full_rasterize();
-            return;
-        }
-        if !decompose_dirty(ws, win) {
-            self.refresh_window_dense(win);
-            return;
-        }
-        let sparse_px: usize = ws.sub_windows.iter().map(|sw| sw.area()).sum();
-        if sparse_px >= win.area() {
-            self.refresh_window_dense(win);
-            return;
+        if !decompose_dirty(ws, win) || pixels(&ws.sub_windows) >= win.area() {
+            ws.sub_windows.clear();
+            ws.sub_windows.push(win);
         }
         let raster_span = StageSpan::enter(self.sim.trace_sink(), Stage::Rasterize);
-        // Phase 0: rebuild every moved polygon's vertices once.
-        for i in 0..self.mask.clip().targets().len() {
-            let mut verts = std::mem::take(&mut ws.polys[i]);
-            self.mask.moved_polygon_vertices(i, &mut verts);
-            ws.polys[i] = verts;
-        }
-        // Phase 1: re-rasterise each disjoint sub-window. All raster
-        // updates complete before any convolution reads (phase 2), so every
-        // cached-image pixel sees fully consistent coverage.
-        for si in 0..ws.sub_windows.len() {
-            let sw = ws.sub_windows[si];
+        let polys = move_polygons(ws, &self.mask);
+        for &sw in &ws.sub_windows {
             ws.raster.zero_window(sw);
-            for i in 0..self.mask.clip().targets().len() {
-                ws.raster
-                    .fill_polygon_coverage_in(&ws.polys[i], 1.0, sw, &mut ws.cov);
-            }
-            for &sraf in self.mask.sraf_rects() {
-                ws.raster.fill_rect_coverage_in(sraf, 1.0, sw);
-            }
-            ws.raster.clamp_window(sw, 0.0, 1.0);
         }
-        ws.content = Some(match ws.content {
-            Some(c) => c.union(&win),
-            None => win,
-        });
+        fill_sub_windows(ws, &self.mask, polys);
+        ws.content = Some(ws.content.map_or(win, |c| c.union(&win)));
         self.last_refresh = RefreshStats {
-            rasterized_pixels: sparse_px,
+            rasterized_pixels: pixels(&ws.sub_windows),
             dirty_window_pixels: win.area(),
             sub_windows: ws.sub_windows.len(),
             full: false,
         };
         drop(raster_span);
-        // Phase 2: every cached image refreshes per sub-window (expanded by
-        // the kernel radius inside `refresh_slot_in`). Pixels outside every
-        // expanded sub-window have convolution supports disjoint from the
-        // changed coverage, so their cached values are already bit-correct;
-        // overlapping expansions recompute idempotently.
-        for i in 0..self.ws.slots.len() {
-            if !self.ws.slots[i].valid {
-                continue;
-            }
-            if self.ws.slots[i].pending.is_some() {
-                // A leftover pending window (never the steady state — every
-                // refresh ends up-to-date) is flushed through the dense path
-                // before the sparse windows are applied on top.
-                self.refresh_slot(i);
-            }
-            for si in 0..self.ws.sub_windows.len() {
-                let sw = self.ws.sub_windows[si];
-                self.refresh_slot_in(i, sw);
-            }
-        }
-    }
-
-    /// The dense window refresh: zero + refill + clamp the window, then
-    /// bring every cached image up to date over it.
-    fn refresh_window_dense(&mut self, win: PixelWindow) {
-        let raster_span = StageSpan::enter(self.sim.trace_sink(), Stage::Rasterize);
-        let ws = &mut *self.ws;
-        ws.raster.zero_window(win);
-        for i in 0..self.mask.clip().targets().len() {
-            let mut verts = std::mem::take(&mut ws.polys[i]);
-            self.mask.moved_polygon_vertices(i, &mut verts);
-            ws.raster
-                .fill_polygon_coverage_in(&verts, 1.0, win, &mut ws.cov);
-            ws.polys[i] = verts;
-        }
-        for &sraf in self.mask.sraf_rects() {
-            ws.raster.fill_rect_coverage_in(sraf, 1.0, win);
-        }
-        ws.raster.clamp_window(win, 0.0, 1.0);
-        ws.content = Some(match ws.content {
-            Some(c) => c.union(&win),
-            None => win,
-        });
-        for slot in &mut ws.slots {
-            if slot.valid {
-                slot.pending = Some(match slot.pending {
-                    Some(p) => p.union(&win),
-                    None => win,
-                });
-            }
-        }
-        self.last_refresh = RefreshStats {
-            rasterized_pixels: win.area(),
-            dirty_window_pixels: win.area(),
-            sub_windows: 1,
-            full: false,
-        };
-        drop(raster_span);
-        self.refresh_valid_slots();
-    }
-
-    /// Brings every already-computed image up to date (eagerly, so the whole
-    /// rasterise + convolve cost of a step sits in `apply_moves`).
-    fn refresh_valid_slots(&mut self) {
         for i in 0..self.ws.slots.len() {
             if self.ws.slots[i].valid {
-                self.refresh_slot(i);
+                self.update_slot(i);
             }
         }
     }
 
-    /// Index of the cached image for `blur`, creating (and fully computing)
-    /// it on first use.
+    /// Index of the cached image for `blur`, computed if it is stale or new.
     fn ensure_slot(&mut self, blur_nm: f64) -> usize {
         let bits = blur_nm.to_bits();
-        if let Some(i) = self.ws.slots.iter().position(|s| s.blur_bits == bits) {
-            if !self.ws.slots[i].valid || self.ws.slots[i].pending.is_some() {
-                self.refresh_slot(i);
+        let index = match self.ws.slots.iter().position(|s| s.blur_bits == bits) {
+            Some(i) => i,
+            None => {
+                let r = &self.ws.raster;
+                let img =
+                    Raster::with_dimensions(r.origin(), r.pixel_size(), r.width(), r.height());
+                self.ws.slots.push(DerivedImage {
+                    blur_bits: bits,
+                    img,
+                    valid: false,
+                });
+                self.ws.slots.len() - 1
             }
-            return i;
+        };
+        if !self.ws.slots[index].valid {
+            self.update_slot(index);
         }
-        let img = Raster::with_dimensions(
-            self.ws.raster.origin(),
-            self.ws.raster.pixel_size(),
-            self.ws.raster.width(),
-            self.ws.raster.height(),
-        );
-        self.ws.slots.push(DerivedImage {
-            blur_bits: bits,
-            img,
-            valid: false,
-            pending: None,
-        });
-        let i = self.ws.slots.len() - 1;
-        self.refresh_slot(i);
-        i
+        index
     }
 
-    /// Recomputes one cached image: over the content window when invalid,
-    /// over the pending window (padded by the kernel radius) otherwise.
+    /// Brings cached image `index` up to date with the raster by convolving
+    /// the windows [`plan_windows`] plans: around the last refresh's
+    /// sub-windows for a valid image, over the whole content window for a
+    /// stale one (zeroed first, since pixels beyond the content's kernel
+    /// reach are exactly zero). Planned windows may overlap: each pixel is
+    /// recomputed from the raster alone, so an overlap recomputes the same
+    /// bits.
     ///
     /// Taps come from the shared immutable context for corner blurs (the hot
     /// path — no locking, no mutation); blurs outside the corner set fall
     /// back to the workspace-local `extra_taps` cache.
-    fn refresh_slot(&mut self, index: usize) {
+    fn update_slot(&mut self, index: usize) {
         let ctx = self.sim.context();
         let model = &ctx.config().optical;
         let ws = &mut *self.ws;
         let (w, h) = (ws.raster.width(), ws.raster.height());
         let blur = f64::from_bits(ws.slots[index].blur_bits);
-        let shared_radius = ctx.max_radius(blur);
-        let radius = match shared_radius {
-            Some(r) => r,
+        let (taps, radius) = match ctx.max_radius(blur) {
+            Some(r) => (ctx.taps(), r),
             None => {
                 ws.extra_taps.populate(model, blur);
-                ws.extra_taps
-                    .max_radius(model, blur)
-                    .expect("extra taps just populated")
+                let r = ws.extra_taps.max_radius(model, blur);
+                (&ws.extra_taps, r.expect("extra taps just populated"))
             }
         };
-        let window = if !ws.slots[index].valid {
-            ws.slots[index].img.data_mut().fill(0.0);
-            ws.content.map(|c| c.expanded(radius, w, h))
-        } else {
-            ws.slots[index].pending.map(|p| p.expanded(radius, w, h))
-        };
-        if let Some(win) = window {
-            let taps: &TapsCache = if shared_radius.is_some() {
-                ctx.taps()
+        let slot = &mut ws.slots[index];
+        if !slot.valid {
+            slot.img.data_mut().fill(0.0);
+        }
+        ws.plan.clear();
+        if let Some(content) = ws.content {
+            let dirty = if slot.valid {
+                &ws.sub_windows[..]
             } else {
-                &ws.extra_taps
+                std::slice::from_ref(&content)
             };
+            plan_windows(dirty, content, radius, w, h, &mut ws.plan);
+        }
+        for &win in &ws.plan {
             let _span = StageSpan::enter(self.sim.trace_sink(), Stage::Convolve);
             aerial_window(
                 crate::simd::active(),
@@ -474,52 +368,42 @@ impl<'a> MaskEvaluator<'a> {
                 &mut ws.tmp,
                 &mut ws.amp,
                 &mut ws.row_acc,
-                ws.slots[index].img.data_mut(),
+                slot.img.data_mut(),
             );
         }
-        ws.slots[index].valid = true;
-        ws.slots[index].pending = None;
+        slot.valid = true;
     }
+}
 
-    /// Recomputes one cached image over a fixed window (padded by the kernel
-    /// radius), leaving the slot's valid/pending bookkeeping untouched. The
-    /// sparse path calls this once per disjoint sub-window.
-    fn refresh_slot_in(&mut self, index: usize, win: PixelWindow) {
-        let ctx = self.sim.context();
-        let model = &ctx.config().optical;
-        let ws = &mut *self.ws;
-        let (w, h) = (ws.raster.width(), ws.raster.height());
-        let blur = f64::from_bits(ws.slots[index].blur_bits);
-        let shared_radius = ctx.max_radius(blur);
-        let radius = match shared_radius {
-            Some(r) => r,
-            None => {
-                ws.extra_taps.populate(model, blur);
-                ws.extra_taps
-                    .max_radius(model, blur)
-                    .expect("extra taps just populated")
-            }
-        };
-        let taps: &TapsCache = if shared_radius.is_some() {
-            ctx.taps()
-        } else {
-            &ws.extra_taps
-        };
-        let _span = StageSpan::enter(self.sim.trace_sink(), Stage::Convolve);
-        aerial_window(
-            crate::simd::active(),
-            ws.raster.data(),
-            w,
-            h,
-            model,
-            blur,
-            taps,
-            win.expanded(radius, w, h),
-            &mut ws.tmp,
-            &mut ws.amp,
-            &mut ws.row_acc,
-            ws.slots[index].img.data_mut(),
-        );
+/// Total pixels of a set of disjoint windows.
+fn pixels(windows: &[PixelWindow]) -> usize {
+    windows.iter().map(PixelWindow::area).sum()
+}
+
+/// Writes every moved polygon's vertex loop into `ws.polys` and returns the
+/// polygon count.
+fn move_polygons(ws: &mut SimWorkspace, mask: &MaskState) -> usize {
+    let n = mask.clip().targets().len();
+    for (i, verts) in ws.polys[..n].iter_mut().enumerate() {
+        mask.moved_polygon_vertices(i, verts);
+    }
+    n
+}
+
+/// Rasterises every zeroed window in `ws.sub_windows` from the first
+/// `polys` moved polygons in `ws.polys` plus the SRAFs. Every raster update
+/// completes before any convolution reads the raster, so each cached-image
+/// pixel sees fully consistent coverage.
+fn fill_sub_windows(ws: &mut SimWorkspace, mask: &MaskState, polys: usize) {
+    for &sw in &ws.sub_windows {
+        for verts in &ws.polys[..polys] {
+            ws.raster
+                .fill_polygon_coverage_in(verts, 1.0, sw, &mut ws.cov);
+        }
+        for &sraf in mask.sraf_rects() {
+            ws.raster.fill_rect_coverage_in(sraf, 1.0, sw);
+        }
+        ws.raster.clamp_window(sw, 0.0, 1.0);
     }
 }
 
@@ -622,13 +506,6 @@ fn vertex_bbox(vertices: &[camo_geometry::Point]) -> Option<Rect> {
     Some(r)
 }
 
-fn union_rect(acc: Option<Rect>, r: Option<Rect>) -> Option<Rect> {
-    match (acc, r) {
-        (Some(a), Some(b)) => Some(a.union(&b)),
-        (a, b) => a.or(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,8 +533,8 @@ mod tests {
 
     #[test]
     fn off_raster_dirty_rect_falls_back_to_full_refresh() {
-        // Regression: `refresh_dirty` used to early-return when the dirty
-        // rect missed the raster, leaving the raster and every cached image
+        // Regression: the refresh used to early-return when the dirty rect
+        // missed the raster, leaving the raster and every cached image
         // stale even though the mask had already mutated.
         let sim = LithoSimulator::new(LithoConfig::fast());
         let mask = edge_via_mask();
@@ -667,7 +544,8 @@ mod tests {
         eval.mask.move_segment(1, -1);
         // Hand the refresher a rect far outside the simulation region, the
         // shape of a dirty rect that misses the raster entirely.
-        eval.refresh_dirty(Rect::new(-100_000, -100_000, -99_000, -99_000));
+        eval.refresh(Rect::new(-100_000, -100_000, -99_000, -99_000));
+        assert!(eval.last_refresh_stats().full);
         assert_matches_fresh(&sim, &mut eval);
     }
 
@@ -684,7 +562,8 @@ mod tests {
         // Zero-width slivers on the raster's right edge snap to `None`.
         let sliver = Rect::new(region.x1, region.y0, region.x1, region.y1);
         assert!(eval.ws.raster.pixel_window(sliver).is_none());
-        eval.refresh_dirty(sliver);
+        eval.refresh(sliver);
+        assert!(eval.last_refresh_stats().full);
         assert_matches_fresh(&sim, &mut eval);
     }
 
@@ -731,6 +610,39 @@ mod tests {
             stats.rasterized_pixels < stats.dirty_window_pixels / 2,
             "sparse refresh should skip the span between the vias: {stats:?}"
         );
+        assert_matches_fresh(&sim, &mut eval);
+    }
+
+    #[test]
+    fn overflowing_decomposition_refreshes_the_dense_window_identically() {
+        // A 9 × 9 via grid dirties 9 bands of 9 spans each: 81 sub-windows
+        // overflow `MAX_SUB_WINDOWS`, so the step re-rasterises the dense
+        // dirty window and the planner convolves around it.
+        let mut clip = Clip::new(Rect::new(0, 0, 1800, 1800));
+        for i in 0..81 {
+            let (x, y) = (65 + 200 * (i % 9), 65 + 200 * (i / 9));
+            clip.add_target(Rect::new(x, y, x + 70, y + 70).to_polygon());
+        }
+        let mask = MaskState::from_clip(&clip, &FragmentationParams::via_layer());
+        let sim = LithoSimulator::new(LithoConfig::fast());
+        let mut eval = sim.evaluator(&mask);
+        let _ = eval.evaluate(); // populate every cached image
+        eval.apply_moves(&vec![1; eval.mask().segment_count()]);
+        let dirty = eval
+            .ws
+            .dirty_rects
+            .iter()
+            .copied()
+            .reduce(|a, b| a.union(&b));
+        let win = dirty.and_then(|r| eval.ws.raster.pixel_window(r)).unwrap();
+        assert!(
+            !decompose_dirty(&mut eval.ws, win),
+            "the grid must overflow"
+        );
+        let stats = eval.last_refresh_stats();
+        assert_eq!(stats.sub_windows, 1, "{stats:?}");
+        assert!(!stats.full, "{stats:?}");
+        assert_eq!(stats.rasterized_pixels, stats.dirty_window_pixels);
         assert_matches_fresh(&sim, &mut eval);
     }
 

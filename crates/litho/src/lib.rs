@@ -56,7 +56,8 @@
 //! grid) and convolution is windowed over the mask content with a
 //! branch-free interior. OPC loops hold a [`MaskEvaluator`] session
 //! ([`LithoSimulator::evaluator`]): each [`MaskEvaluator::apply_moves`]
-//! re-simulates only the dirty rectangle the movements touched (padded by
+//! re-rasterises only the pixels the movements touched and re-convolves the
+//! images the session has read over planned windows around them (padded by
 //! the kernel support), allocation-free in the steady state and bit-for-bit
 //! identical to full evaluation. The seed's original implementation is kept
 //! under the `reference-impl` feature as `reference` for parity tests and

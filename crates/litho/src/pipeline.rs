@@ -1,8 +1,9 @@
 //! The scratch-buffer simulation pipeline.
 //!
 //! Everything the inner OPC loop executes per step lives here: windowed
-//! separable convolution with a branch-free interior, per-`(σ, defocus)`
-//! tap caching, and the [`SimWorkspace`] that owns every buffer so the
+//! separable convolution with a branch-free interior, the planner that
+//! picks which windows an edit re-convolves, per-`(σ, defocus)` tap
+//! caching, and the [`SimWorkspace`] that owns every buffer so the
 //! steady-state loop performs no heap allocation.
 //!
 //! Two properties are load-bearing:
@@ -291,6 +292,64 @@ pub(crate) fn aerial_window(
     }
 }
 
+/// Multiply-adds of one kernel's separable convolution over output window
+/// `win` at tap radius `radius`: the horizontal pass covers `2·radius`
+/// extra rows, and both passes apply `2·radius + 1` taps per pixel. The
+/// window planner compares windows by this figure.
+pub(crate) fn convolve_cost(win: PixelWindow, radius: usize) -> usize {
+    let (w, h) = (win.width(), win.height());
+    ((h + 2 * radius) * w + h * w) * (2 * radius + 1)
+}
+
+/// Plans the convolution windows that bring a cached image up to date after
+/// the raster changed inside the windows `dirty`.
+///
+/// Each dirty window grows by the tap `radius` (clamped to the `w × h`
+/// raster) — by window locality, no pixel outside these windows can
+/// change. Two planned windows merge into their bounding box while that
+/// box costs no more than convolving the pair ([`convolve_cost`]), so the
+/// overlapping halos of nearby edits are convolved once. A plan costing
+/// more than one re-convolution of the whole `content` window (grown the
+/// same way) is replaced by that window. Every grown dirty window ends up
+/// inside one planned window, and every planned window inside the grown
+/// content window when `dirty` lies inside `content`.
+pub(crate) fn plan_windows(
+    dirty: &[PixelWindow],
+    content: PixelWindow,
+    radius: usize,
+    w: usize,
+    h: usize,
+    plan: &mut Vec<PixelWindow>,
+) {
+    let cost = |win: &PixelWindow| convolve_cost(*win, radius);
+    plan.clear();
+    plan.extend(dirty.iter().map(|d| d.expanded(radius, w, h)));
+    let mut merged = true;
+    while merged {
+        merged = false;
+        let mut i = 0;
+        while i < plan.len() {
+            let mut j = i + 1;
+            while j < plan.len() {
+                let bbox = plan[i].union(&plan[j]);
+                if cost(&bbox) <= cost(&plan[i]) + cost(&plan[j]) {
+                    plan[i] = bbox;
+                    plan.swap_remove(j);
+                    merged = true;
+                } else {
+                    j += 1;
+                }
+            }
+            i += 1;
+        }
+    }
+    let whole = content.expanded(radius, w, h);
+    if plan.iter().map(cost).sum::<usize>() > cost(&whole) {
+        plan.clear();
+        plan.push(whole);
+    }
+}
+
 /// The reusable scratch state of one evaluation session: the mask raster,
 /// convolution buffers, polygon/coverage scratch and the derived intensity
 /// images (one per defocus value in use).
@@ -321,14 +380,18 @@ pub struct SimWorkspace {
     /// (scratch for [`camo_geometry::MaskState::apply_moves_into`]).
     pub(crate) dirty_rects: Vec<Rect>,
     /// Disjoint sub-windows decomposed from the dirty bitmask (capacity
-    /// fixed at [`MAX_SUB_WINDOWS`]; overflow falls back to dense refresh).
+    /// fixed at [`MAX_SUB_WINDOWS`]; overflow falls back to the dense dirty
+    /// window).
     pub(crate) sub_windows: Vec<PixelWindow>,
+    /// Convolution windows [`plan_windows`] planned for one cached image
+    /// (never more than the sub-windows it was planned from).
+    pub(crate) plan: Vec<PixelWindow>,
 }
 
 /// Cap on the dirty-bitmask decomposition: more disjoint sub-windows than
-/// this falls back to the dense dirty-rect refresh (the scratch vector is
-/// preallocated to exactly this capacity, keeping the steady state
-/// allocation-free).
+/// this falls back to the dense dirty window (the sub-window and plan
+/// vectors are preallocated to exactly this capacity, keeping the steady
+/// state allocation-free).
 pub(crate) const MAX_SUB_WINDOWS: usize = 64;
 
 /// A cached aerial-intensity image at one defocus blur.
@@ -336,10 +399,9 @@ pub(crate) const MAX_SUB_WINDOWS: usize = 64;
 pub(crate) struct DerivedImage {
     pub blur_bits: u64,
     pub img: Raster,
-    /// False until the first full computation (or after a full refresh).
+    /// Whether `img` matches the current raster. A rebuild clears it, and
+    /// the image is recomputed on its next read.
     pub valid: bool,
-    /// Raster window dirtied since the image was last brought up to date.
-    pub pending: Option<PixelWindow>,
 }
 
 impl SimWorkspace {
@@ -372,6 +434,7 @@ impl SimWorkspace {
             dirty_words: vec![0; words],
             dirty_rects: Vec::with_capacity(segment_count),
             sub_windows: Vec::with_capacity(MAX_SUB_WINDOWS),
+            plan: Vec::with_capacity(MAX_SUB_WINDOWS),
         }
     }
 
@@ -399,10 +462,11 @@ impl SimWorkspace {
     ///
     /// No buffer is eagerly zeroed: the session's initial full
     /// rasterisation overwrites the mask raster, an invalidated image slot
-    /// is zero-filled before recomputation, and `tmp`/`amp` are strictly
-    /// overwrite-before-read within every convolution window. Skipping the
-    /// memsets is what makes a pooled checkout cheaper than a fresh
-    /// (lazily zeroed) allocation.
+    /// is zero-filled when its first read recomputes it (so a recycled
+    /// workspace convolves only the images the new session reads), and
+    /// `tmp`/`amp` are strictly overwrite-before-read within every
+    /// convolution window. Skipping the memsets is what makes a pooled
+    /// checkout cheaper than a fresh (lazily zeroed) allocation.
     pub(crate) fn reset(
         &mut self,
         region: Rect,
@@ -423,6 +487,7 @@ impl SimWorkspace {
             self.dirty_rects.reserve(segment_count);
         }
         self.sub_windows.clear();
+        self.plan.clear();
         if self.extra_taps.pixel_size() != pixel_size {
             self.extra_taps = TapsCache::new(pixel_size);
         }
@@ -445,7 +510,6 @@ impl SimWorkspace {
                 self.raster.height(),
             );
             slot.valid = false;
-            slot.pending = None;
         }
     }
 
@@ -466,7 +530,8 @@ impl SimWorkspace {
             + slots
             + self.dirty_words.capacity() * std::mem::size_of::<u64>()
             + self.dirty_rects.capacity() * std::mem::size_of::<Rect>()
-            + self.sub_windows.capacity() * std::mem::size_of::<PixelWindow>()
+            + (self.sub_windows.capacity() + self.plan.capacity())
+                * std::mem::size_of::<PixelWindow>()
     }
 
     /// Ensures `row_acc` can hold one window row of the raster.
@@ -491,6 +556,7 @@ fn resize_scratch(buf: &mut Vec<f64>, cells: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Seed-semantics row convolution: per-pixel bounds checks and border
     /// renormalisation, the behaviour `convolve_row` must reproduce bit for
@@ -613,5 +679,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn win(x0: usize, y0: usize, x1: usize, y1: usize) -> PixelWindow {
+        PixelWindow { x0, y0, x1, y1 }
+    }
+
+    /// Builds a window inside a `w × h` raster from four raw draws. Starts
+    /// past the last pixel are pulled onto it, so windows pile up on the
+    /// raster's far edges as well as its origin.
+    fn window_in(w: usize, h: usize, (a, b, c, d): (usize, usize, usize, usize)) -> PixelWindow {
+        let (x0, y0) = (a.min(w - 1), c.min(h - 1));
+        win(x0, y0, (x0 + 1 + b).min(w), (y0 + 1 + d).min(h))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the dirty windows — overlapping, on the raster edge, up
+        /// to a full `MAX_SUB_WINDOWS` decomposition, or the single dense
+        /// window an overflow falls back to — every radius-grown dirty
+        /// window lies inside one planned window, every planned window
+        /// inside the grown content window, and the plan costs no more than
+        /// the unmerged windows or one content-window re-convolution.
+        #[test]
+        fn planned_windows_cover_every_grown_dirty_window_at_no_extra_cost(
+            w in 1usize..160,
+            h in 1usize..160,
+            radius in 0usize..40,
+            raw in prop::collection::vec((0usize..170, 0usize..48, 0usize..170, 0usize..48), 1..=MAX_SUB_WINDOWS),
+            extra in (0usize..170, 0usize..170, 0usize..170, 0usize..170),
+            dense in prop::bool::ANY,
+        ) {
+            let mut dirty: Vec<PixelWindow> = raw.iter().map(|&r| window_in(w, h, r)).collect();
+            let mut content = dirty.iter().fold(window_in(w, h, extra), |c, d| c.union(d));
+            if dense {
+                let union = dirty.iter().fold(dirty[0], |u, d| u.union(d));
+                dirty = vec![union];
+                content = content.union(&union);
+            }
+            let mut plan = Vec::new();
+            plan_windows(&dirty, content, radius, w, h, &mut plan);
+
+            let grown: Vec<PixelWindow> = dirty.iter().map(|d| d.expanded(radius, w, h)).collect();
+            let whole = content.expanded(radius, w, h);
+            let inside = |outer: &PixelWindow, inner: &PixelWindow| {
+                outer.x0 <= inner.x0 && outer.y0 <= inner.y0 && outer.x1 >= inner.x1 && outer.y1 >= inner.y1
+            };
+            for g in &grown {
+                prop_assert!(plan.iter().any(|p| inside(p, g)), "{g:?} not covered by {plan:?}");
+            }
+            prop_assert!(plan.iter().all(|p| inside(&whole, p)), "{plan:?} leaves {whole:?}");
+            prop_assert!(plan.len() <= dirty.len());
+            let cost = |ws: &[PixelWindow]| ws.iter().map(|p| convolve_cost(*p, radius)).sum::<usize>();
+            prop_assert!(cost(&plan) <= cost(&grown), "{plan:?} dearer than {grown:?}");
+            prop_assert!(cost(&plan) <= convolve_cost(whole, radius));
+        }
+    }
+
+    #[test]
+    fn nearby_halos_merge_distant_ones_stay_apart_and_the_plan_is_capped() {
+        let (w, h, radius) = (400, 100, 10);
+        let content = win(0, 0, 400, 100);
+        let at = |x0: usize| win(x0, 40, x0 + 4, 44);
+        let mut plan = Vec::new();
+        // Two spans 2 px apart share almost all of their halos: one window.
+        plan_windows(&[at(50), at(56)], content, radius, w, h, &mut plan);
+        assert_eq!(plan, [win(40, 30, 70, 54)]);
+        // Spans 300 px apart would convolve the gap between them: two windows.
+        plan_windows(&[at(50), at(350)], content, radius, w, h, &mut plan);
+        assert_eq!(plan, [win(40, 30, 64, 54), win(340, 30, 364, 54)]);
+        // Crossing combs: no pair merges (parallel teeth leave gaps, crossing
+        // teeth span the whole box), yet together they cost more than one
+        // convolution of the content window, so the plan is capped.
+        let comb: Vec<PixelWindow> = (0..5)
+            .flat_map(|i| [win(2 * i, 0, 2 * i + 1, 9), win(0, 2 * i, 9, 2 * i + 1)])
+            .collect();
+        plan_windows(&comb, win(0, 0, 9, 9), 0, w, h, &mut plan);
+        assert_eq!(plan, [win(0, 0, 9, 9)]);
     }
 }

@@ -3,7 +3,10 @@
 //! and pool exhaustion falls back to allocation rather than blocking.
 
 use camo_geometry::{Clip, Coord, FragmentationParams, MaskState, Rect};
+use camo_litho::trace::{Stage, TraceSink};
 use camo_litho::{LithoConfig, LithoSimulator, ProcessCorner};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn mask_with_vias(positions: &[(Coord, Coord)], size: Coord, region: Coord) -> MaskState {
     let mut clip = Clip::new(Rect::new(0, 0, region, region));
@@ -110,4 +113,60 @@ fn clones_share_context_and_pool() {
         "a cloned simulator must draw from the same pool"
     );
     assert!(std::ptr::eq(sim.context(), clone.context()));
+}
+
+/// Counts the convolutions a simulator starts.
+#[derive(Debug, Default)]
+struct ConvolveCounter(AtomicUsize);
+
+impl TraceSink for ConvolveCounter {
+    fn stage_start(&self, stage: Stage) {
+        if stage == Stage::Convolve {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    fn stage_end(&self, _stage: Stage) {}
+}
+
+/// Runs the shape of one OPC step — open a session, read EPE, move every
+/// segment, read EPE — and returns the convolutions it started plus the
+/// bits of both EPE reads.
+fn one_step_session(
+    sim: &LithoSimulator,
+    counter: &ConvolveCounter,
+    mask: &MaskState,
+) -> (usize, Vec<u64>) {
+    let before = counter.0.load(Ordering::Relaxed);
+    let mut eval = sim.evaluator(mask);
+    let mut bits: Vec<u64> = eval.epe().per_point.iter().map(|e| e.to_bits()).collect();
+    eval.apply_moves(&vec![2; mask.segment_count()]);
+    bits.extend(eval.epe().per_point.iter().map(|e| e.to_bits()));
+    (counter.0.load(Ordering::Relaxed) - before, bits)
+}
+
+#[test]
+fn recycled_workspace_convolves_only_the_images_the_session_reads() {
+    // Regression: a recycled workspace keeps the previous session's 0 nm
+    // and 20 nm-defocus images. Opening a session used to recompute both
+    // and every step refreshed both, although this sequence reads only the
+    // nominal image, so a warm pool started about twice the convolutions
+    // of a fresh simulator.
+    let mask = mask_with_vias(&[(200, 200), (600, 640)], 70, 1000);
+    let warm_counter = Arc::new(ConvolveCounter::default());
+    let warm = LithoSimulator::new(LithoConfig::fast()).with_trace_sink(warm_counter.clone());
+    let _ = warm.evaluate(&mask); // leaves a two-image workspace in the pool
+    let (warm_convolutions, warm_bits) = one_step_session(&warm, &warm_counter, &mask);
+    assert_eq!(warm.pool().reuse_count(), 1, "the session must recycle");
+
+    let fresh_counter = Arc::new(ConvolveCounter::default());
+    let fresh = LithoSimulator::new(LithoConfig::fast()).with_trace_sink(fresh_counter.clone());
+    let (fresh_convolutions, fresh_bits) = one_step_session(&fresh, &fresh_counter, &mask);
+    assert_eq!(fresh.pool().reuse_count(), 0);
+
+    assert!(fresh_convolutions > 0);
+    assert_eq!(
+        warm_convolutions, fresh_convolutions,
+        "a recycled workspace must convolve no more than a fresh one"
+    );
+    assert_eq!(warm_bits, fresh_bits);
 }

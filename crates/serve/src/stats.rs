@@ -8,8 +8,9 @@
 //! increment, so the hot path never takes a lock, and quantiles are read
 //! deterministically from a snapshot: a reported percentile is the
 //! **inclusive upper bound** of the bucket in which the cumulative count
-//! crosses the requested fraction — a conservative (never under-reported)
-//! tail estimate that two readers of the same snapshot always agree on.
+//! crosses the requested fraction, clamped to the largest observed sample —
+//! a conservative (never under-reported) estimate that two readers of the
+//! same snapshot always agree on, and never above the observed maximum.
 //!
 //! [`MetricsReport`] is the data model of the `metrics` wire request (see
 //! `docs/WIRE_PROTOCOL.md`): gauges and counters for one serving process,
@@ -63,31 +64,36 @@ impl LatencyHistogram {
         }
     }
 
-    /// Records one latency sample.
+    /// Records one latency sample. The maximum is raised before the sample
+    /// is counted (released by the count), so a snapshot that sees the count
+    /// also sees a maximum at least as large.
     pub fn record(&self, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.counts[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
+        self.counts[bucket_index(us)].fetch_add(1, Ordering::Release);
     }
 
     /// A point-in-time copy of the histogram. Samples recorded concurrently
     /// with the snapshot land in either the snapshot or the next one —
-    /// never nowhere.
+    /// never nowhere. Quantiles are clamped to `max_us`: a bucket's upper
+    /// bound can lie far above every sample in it, the true quantile never
+    /// does.
     pub fn snapshot(&self) -> LatencySnapshot {
         let mut buckets: Vec<u64> = self
             .counts
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|c| c.load(Ordering::Acquire))
             .collect();
         while buckets.last() == Some(&0) {
             buckets.pop();
         }
         let count: u64 = buckets.iter().sum();
+        let max_us = self.max_us.load(Ordering::Relaxed);
         LatencySnapshot {
             count,
-            p50_us: quantile_us(&buckets, 0.50),
-            p99_us: quantile_us(&buckets, 0.99),
-            max_us: self.max_us.load(Ordering::Relaxed),
+            p50_us: quantile_us(&buckets, 0.50).min(max_us),
+            p99_us: quantile_us(&buckets, 0.99).min(max_us),
+            max_us,
             buckets,
         }
     }
@@ -119,9 +125,9 @@ fn quantile_us(buckets: &[u64], q: f64) -> u64 {
 pub struct LatencySnapshot {
     /// Total samples recorded.
     pub count: u64,
-    /// Median latency (bucket upper bound), µs.
+    /// Median latency (bucket upper bound, at most `max_us`), µs.
     pub p50_us: u64,
-    /// 99th-percentile latency (bucket upper bound), µs.
+    /// 99th-percentile latency (bucket upper bound, at most `max_us`), µs.
     pub p99_us: u64,
     /// Largest single sample, µs.
     pub max_us: u64,
@@ -286,6 +292,7 @@ pub struct MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn buckets_are_log2_with_saturation() {
@@ -308,42 +315,72 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 10);
         // 9 of 10 samples sit in bucket 1 (upper bound 3 µs); the tail
-        // sample sits in bucket 9 (upper bound 1023 µs).
+        // sample sits in bucket 9, whose upper bound (1023 µs) lies above
+        // every sample, so the read is clamped to the observed max.
         assert_eq!(s.p50_us, 3);
-        assert_eq!(s.p99_us, 1023);
+        assert_eq!(s.p99_us, 900);
         assert_eq!(s.max_us, 900);
-        assert!(s.p99_us >= s.max_us, "upper-bound read never under-reports");
     }
 
     #[test]
     fn max_is_the_exact_observed_sample_not_a_bucket_bound() {
-        // Satellite: quantiles deliberately read bucket *upper bounds*
-        // (conservative tails), but `max_us` must be the exact observed
-        // maximum — a power-of-two sample sits at the *bottom* of its
-        // bucket, where the bound over-states by almost 2×.
+        // Quantiles read bucket *upper bounds* (conservative tails), but
+        // `max_us` must be the exact observed maximum — a power-of-two
+        // sample sits at the *bottom* of its bucket, where the bound
+        // over-states by almost 2×.
         let h = LatencyHistogram::new();
         for _ in 0..9 {
             h.record(Duration::from_micros(1024));
         }
         let s = h.snapshot();
-        // 1024 µs lands in bucket 10, whose inclusive upper bound is 2047:
-        // the quantile reads are the bound...
+        // 1024 µs lands in bucket 10, whose inclusive upper bound is 2047,
+        // but no sample exceeds 1024, so the quantile reads are clamped...
         assert_eq!(bucket_index(1024), 10);
         assert_eq!(bucket_upper_us(10), 2047);
-        assert_eq!(s.p50_us, 2047);
-        assert_eq!(s.p99_us, 2047);
-        // ...while max reports the sample itself, not 2047.
+        assert_eq!(s.p50_us, 1024);
+        assert_eq!(s.p99_us, 1024);
+        // ...and max reports the sample itself, not 2047.
         assert_eq!(s.max_us, 1024);
+        // Below a larger maximum the median still reads its bucket bound.
+        h.record(Duration::from_micros(5000));
+        let s = h.snapshot();
+        assert_eq!((s.p50_us, s.p99_us, s.max_us), (2047, 5000, 5000));
 
         // Boundary pins around the bucket edges: top-of-bucket and
         // bottom-of-next-bucket samples keep their exact values.
-        for (sample, bound) in [(1u64, 1u64), (1023, 1023), (2047, 2047), (2048, 4095)] {
+        for sample in [1u64, 1023, 2047, 2048] {
             let h = LatencyHistogram::new();
             h.record(Duration::from_micros(sample));
             let s = h.snapshot();
             assert_eq!(s.max_us, sample, "exact max for {sample}");
-            assert_eq!(s.p99_us, bound, "bucket bound for {sample}");
-            assert!(s.p99_us >= s.max_us);
+            assert_eq!(s.p99_us, sample, "bound clamped to max for {sample}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Against a sorted-sample oracle: the reported p50/p99 never fall
+        /// below the nearest-rank quantile of the recorded samples (reads
+        /// never under-report) and never exceed the exact maximum.
+        #[test]
+        fn quantiles_lie_between_the_nearest_rank_sample_and_the_max(
+            draws in prop::collection::vec((0u32..24, 0u64..1 << 24), 1..300),
+        ) {
+            let h = LatencyHistogram::new();
+            let mut samples: Vec<u64> = draws.iter().map(|&(bits, v)| v % (1 << bits)).collect();
+            for &us in &samples {
+                h.record(Duration::from_micros(us));
+            }
+            samples.sort_unstable();
+            let s = h.snapshot();
+            let n = samples.len();
+            prop_assert_eq!(s.max_us, samples[n - 1]);
+            for (q, reported) in [(0.50_f64, s.p50_us), (0.99, s.p99_us)] {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                let oracle = samples[rank - 1];
+                prop_assert!(oracle <= reported && reported <= s.max_us, "q={q}: oracle {oracle}, reported {reported}, max {}", s.max_us);
+            }
         }
     }
 

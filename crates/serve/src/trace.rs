@@ -175,7 +175,7 @@ pub struct TraceReport {
 
 /// One ring slot, guarded by a per-slot sequence word: even = stable,
 /// odd = a writer is mid-update. Writers claim a slot with a CAS and give
-/// up (counting a drop) rather than spin, so recording never blocks.
+/// up (dropping the span) rather than spin, so recording never blocks.
 #[derive(Debug)]
 struct Slot {
     seq: AtomicU64,
@@ -208,7 +208,6 @@ impl Slot {
 pub struct FlightRecorder {
     epoch: Instant,
     cursor: AtomicU64,
-    contended: AtomicU64,
     slots: Box<[Slot]>,
 }
 
@@ -226,7 +225,6 @@ impl FlightRecorder {
         Self {
             epoch: Instant::now(),
             cursor: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Slot::new()).collect(),
         }
     }
@@ -242,7 +240,8 @@ impl FlightRecorder {
 
     /// Records one completed span. Never blocks: a slot already claimed by
     /// another writer (only possible once the ring has wrapped mid-write)
-    /// drops the span and counts it instead.
+    /// drops the span instead; its ticket still counts as recorded, so the
+    /// snapshot's `dropped` includes it.
     pub fn record(&self, trace_id: u64, stage: Stage, start: Instant, end: Instant) {
         // relaxed-ok: the ticket only spreads writers across slots; slot
         // consistency is carried by the per-slot seqlock below.
@@ -258,8 +257,6 @@ impl FlightRecorder {
                 .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
         {
-            // relaxed-ok: loss counter, read only by reporting.
-            self.contended.fetch_add(1, Ordering::Relaxed);
             return;
         }
         // relaxed-ok: data stores are ordered by the Release publish of the
@@ -276,7 +273,10 @@ impl FlightRecorder {
     }
 
     /// Copies out every consistent resident span (ordered by start time)
-    /// plus the exact count of spans lost to wraparound or contention.
+    /// plus the count of recorded spans it does not hold: lost to
+    /// wraparound or contention (exact once writers are idle), or still
+    /// mid-write. Every ticket is either resident or dropped, so the count
+    /// is at most the number of spans recorded.
     pub fn snapshot(&self) -> ProcessSpans {
         let mut spans = Vec::new();
         for slot in self.slots.iter() {
@@ -310,15 +310,11 @@ impl FlightRecorder {
             });
         }
         spans.sort_by_key(|s| (s.start_us, s.end_us));
-        // relaxed-ok: reporting-only reads of monotone counters.
+        // relaxed-ok: reporting-only read of a monotone counter; every
+        // resident span's ticket was taken before its Acquire-read publish.
         let written = self.cursor.load(Ordering::Relaxed);
-        // relaxed-ok: reporting-only read, see above.
-        let contended = self.contended.load(Ordering::Relaxed);
-        let wrapped = written.saturating_sub(self.slots.len() as u64);
-        ProcessSpans {
-            spans,
-            dropped: wrapped + contended,
-        }
+        let dropped = written.saturating_sub(spans.len() as u64);
+        ProcessSpans { spans, dropped }
     }
 }
 

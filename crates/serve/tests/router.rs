@@ -42,8 +42,14 @@ fn job(max_steps: usize) -> JobSpec {
 }
 
 fn spawn_shards(count: usize) -> ShardSet {
+    spawn_shards_with(count, &[])
+}
+
+/// [`spawn_shards`] with extra `serve` flags appended to every shard.
+fn spawn_shards_with(count: usize, extra: &[&str]) -> ShardSet {
     let mut spec = ShardSpec::new(env!("CARGO_BIN_EXE_serve"));
     spec.args = vec!["--threads".into(), "1".into()];
+    spec.args.extend(extra.iter().map(|arg| arg.to_string()));
     ShardSet::spawn(&spec, count).expect("spawn shard processes")
 }
 
@@ -203,7 +209,12 @@ fn killing_a_shard_mid_stream_stays_bit_identical() {
         },
         ..RouterConfig::default()
     };
-    let handle = route_spawned(config, spawn_shards(2)).expect("start router");
+    // Without coalescing each request is its own batch, so the first
+    // response leaves the shard while the other nine still wait in its
+    // queue. A coalescing shard can instead drain the whole stream into one
+    // batch and answer all ten at once, leaving nothing in flight to kill.
+    let handle = route_spawned(config, spawn_shards_with(2, &["--coalesce-limit", "1"]))
+        .expect("start router");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Everything under one configuration lands on one shard (affinity), so
@@ -498,8 +509,13 @@ fn shard_busy_propagates_to_the_client() {
         ..ServerConfig::default()
     })
     .expect("shard");
+    // One forwarder keeps the shard's arrival order equal to the send
+    // order, so the first two requests are the queued ones. Concurrent
+    // forwarders may swap them, and then a request this test waits for
+    // sits in the undrained queue forever.
     let config = RouterConfig {
         drain_timeout: Duration::from_millis(500),
+        forwarders: 1,
         ..RouterConfig::default()
     };
     let handle = route(config, &[shard.addr()]).expect("start router");
