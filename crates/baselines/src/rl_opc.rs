@@ -7,7 +7,7 @@
 //! encoding, trained with REINFORCE on the global improvement reward.
 
 use crate::engine::{OpcConfig, OpcEngine, OpcOutcome};
-use camo_geometry::{segment_features_basic, Clip, Coord, FeatureConfig, MaskState};
+use camo_geometry::{Clip, Coord, FeatureConfig, FeatureIndex, MaskState};
 use camo_litho::LithoSimulator;
 use camo_nn::{cross_entropy_grad, softmax, Linear, Optimizer, Relu, Sgd, Tensor};
 use camo_rl::{
@@ -141,8 +141,9 @@ impl RlOpc {
     ) -> Vec<(Vec<f64>, usize)> {
         let n = mask.segment_count();
         let mut out = Vec::with_capacity(n);
+        let mut index = FeatureIndex::new(mask, &self.config.features);
         for seg in 0..n {
-            let features = segment_features_basic(mask, seg, &self.config.features);
+            let features = index.basic(seg);
             let logits = self.logits_inference(&features);
             let probs = softmax(&logits);
             let action = match rng.as_deref_mut() {

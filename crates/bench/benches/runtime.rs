@@ -5,9 +5,8 @@
 
 use camo::{CamoConfig, CamoEngine};
 use camo_baselines::OpcConfig;
-use camo_geometry::{segment_features_stacked, FeatureConfig};
 use camo_litho::{GaussianKernel, LithoConfig, LithoSimulator, OpticalModel};
-use camo_workloads::via_test_set;
+use camo_workloads::{metal_test_set, via_test_set};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn bench_litho(c: &mut Criterion) {
@@ -42,9 +41,14 @@ fn bench_features_and_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy");
     group.sample_size(10);
 
-    let features_cfg = FeatureConfig::default();
-    group.bench_function("segment_features_stacked", |b| {
-        b.iter(|| segment_features_stacked(&mask, 0, &features_cfg))
+    // The unit `CamoEngine::decide` calls once per OPC step: every
+    // segment's features from one index, on the largest metal clip (M10)
+    // under the configuration the engines run with.
+    let metal_opc = OpcConfig::metal_layer();
+    let metal_mask = metal_opc.initial_mask(&metal_test_set()[9].clip);
+    let metal_engine = CamoEngine::new(metal_opc, CamoConfig::fast());
+    group.bench_function("node_features_metal_m10", |b| {
+        b.iter(|| metal_engine.node_features(&metal_mask))
     });
 
     let engine = CamoEngine::new(opc.clone(), CamoConfig::fast());

@@ -5,7 +5,7 @@ use crate::graph::SegmentGraph;
 use crate::modulator::Modulator;
 use crate::policy::{CamoPolicy, ACTION_COUNT};
 use camo_baselines::{OpcConfig, OpcEngine, OpcOutcome};
-use camo_geometry::{segment_features_stacked, Clip, Coord, MaskState};
+use camo_geometry::{Clip, Coord, FeatureIndex, MaskState};
 use camo_litho::{EpeReport, LithoSimulator};
 use camo_nn::softmax;
 use camo_rl::{argmax, sample_index};
@@ -84,10 +84,11 @@ impl CamoEngine {
     }
 
     /// Encodes the observation of every segment of `mask` (6-channel stacked
-    /// squish features, Section 3.2).
+    /// squish features, Section 3.2), from one [`FeatureIndex`] of the mask.
     pub fn node_features(&self, mask: &MaskState) -> Vec<Vec<f64>> {
+        let mut index = FeatureIndex::new(mask, &self.config.features);
         (0..mask.segment_count())
-            .map(|seg| segment_features_stacked(mask, seg, &self.config.features))
+            .map(|seg| index.stacked(seg))
             .collect()
     }
 

@@ -8,11 +8,14 @@
 //! * CAMO concatenates a second 3-channel tensor whose grid additionally
 //!   carries scanlines at the *target* edges, highlighting how far each edge
 //!   has moved (6 channels total, as described in Section 3.2 of the paper).
+//!
+//! An engine encodes every segment at every step, so it builds one
+//! [`FeatureIndex`] per mask state and encodes all segments from it.
 
 use crate::mask::MaskState;
 use crate::point::Coord;
 use crate::rect::Rect;
-use crate::squish::{AdaptiveSquishTensor, SquishPattern};
+use crate::squish::{write_tensor, Scanlines, SquishGeometry, SquishPattern, SquishScratch};
 
 /// Configuration of the segment feature encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +55,8 @@ pub fn segment_window(mask: &MaskState, segment: usize, config: &FeatureConfig) 
 }
 
 /// 3-channel adaptive squish encoding of the mask geometry around `segment`
-/// (the RL-OPC observation).
+/// (the RL-OPC observation). Encoding several segments of one mask state is
+/// cheaper through one [`FeatureIndex`].
 ///
 /// # Panics
 ///
@@ -62,18 +66,14 @@ pub fn segment_features_basic(
     segment: usize,
     config: &FeatureConfig,
 ) -> Vec<f64> {
-    let window = segment_window(mask, segment, config);
-    let polys = mask.mask_polygons();
-    let pattern = SquishPattern::encode(window, &polys, mask.sraf_rects(), &[], &[]);
-    AdaptiveSquishTensor::from_pattern(&pattern, config.tensor_size)
-        .data
-        .clone()
+    FeatureIndex::new(mask, config).basic(segment)
 }
 
 /// 6-channel CAMO encoding: the mask tensor concatenated with a second tensor
 /// whose grid also carries scanlines at the target-pattern edges inside the
 /// window, so that the relative movement of every edge is visible to the
-/// policy.
+/// policy. Encoding several segments of one mask state is cheaper through
+/// one [`FeatureIndex`].
 ///
 /// # Panics
 ///
@@ -83,29 +83,100 @@ pub fn segment_features_stacked(
     segment: usize,
     config: &FeatureConfig,
 ) -> Vec<f64> {
-    let window = segment_window(mask, segment, config);
-    let polys = mask.mask_polygons();
-    let srafs = mask.sraf_rects();
+    FeatureIndex::new(mask, config).stacked(segment)
+}
 
-    let mask_pattern = SquishPattern::encode(window, &polys, srafs, &[], &[]);
-    let mask_tensor = AdaptiveSquishTensor::from_pattern(&mask_pattern, config.tensor_size);
+/// Everything the segment encoder reads from one mask state, built once and
+/// shared by all of its segments (one OPC step).
+///
+/// It holds the moved mask polygons from a single
+/// [`MaskState::mask_polygons`] call with their bounding boxes, the SRAF
+/// rectangles, and two sorted candidate scanline sets: the mask's edge
+/// coordinates, and those plus the target edges. A segment's window then
+/// takes its scanlines by binary search and its occupancy from the few
+/// polygons near it. The encodings equal [`segment_features_basic`] /
+/// [`segment_features_stacked`] bit for bit.
+#[derive(Debug)]
+pub struct FeatureIndex<'a> {
+    mask: &'a MaskState,
+    config: FeatureConfig,
+    geometry: SquishGeometry,
+    mask_lines: Scanlines,
+    target_lines: Scanlines,
+    pattern: SquishPattern,
+    scratch: SquishScratch,
+}
 
-    // Collect target-edge scanlines within the window.
-    let mut extra_x = Vec::new();
-    let mut extra_y = Vec::new();
-    for target in mask.clip().targets() {
-        for (a, b) in target.edges() {
-            if a.x == b.x {
-                extra_x.push(a.x);
-            } else {
-                extra_y.push(a.y);
+impl<'a> FeatureIndex<'a> {
+    /// Indexes the current geometry of `mask`.
+    pub fn new(mask: &'a MaskState, config: &FeatureConfig) -> Self {
+        let polygons = mask.mask_polygons();
+        let srafs = mask.sraf_rects();
+        let mut target_x = Vec::new();
+        let mut target_y = Vec::new();
+        for target in mask.clip().targets() {
+            for (a, b) in target.edges() {
+                if a.x == b.x {
+                    target_x.push(a.x);
+                } else {
+                    target_y.push(a.y);
+                }
             }
         }
+        Self {
+            mask,
+            config: *config,
+            mask_lines: Scanlines::new(&polygons, srafs, &[], &[]),
+            target_lines: Scanlines::new(&polygons, srafs, &target_x, &target_y),
+            geometry: SquishGeometry::new(polygons, srafs),
+            pattern: SquishPattern::empty(),
+            scratch: SquishScratch::default(),
+        }
     }
-    let target_pattern = SquishPattern::encode(window, &polys, srafs, &extra_x, &extra_y);
-    let target_tensor = AdaptiveSquishTensor::from_pattern(&target_pattern, config.tensor_size);
 
-    mask_tensor.concat(&target_tensor)
+    /// The 3-channel encoding of `segment` ([`segment_features_basic`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment` is out of range.
+    pub fn basic(&mut self, segment: usize) -> Vec<f64> {
+        let window = segment_window(self.mask, segment, &self.config);
+        let mut out = vec![0.0; self.config.basic_len()];
+        self.write(window, false, &mut out);
+        out
+    }
+
+    /// The 6-channel encoding of `segment` ([`segment_features_stacked`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment` is out of range.
+    pub fn stacked(&mut self, segment: usize) -> Vec<f64> {
+        let window = segment_window(self.mask, segment, &self.config);
+        let mut out = vec![0.0; self.config.stacked_len()];
+        let (mask_part, target_part) = out.split_at_mut(self.config.basic_len());
+        self.write(window, false, mask_part);
+        self.write(window, true, target_part);
+        out
+    }
+
+    /// Writes one 3-channel tensor of `window`, on the mask's scanlines or,
+    /// with `with_targets`, on those plus the target edges.
+    fn write(&mut self, window: Rect, with_targets: bool, out: &mut [f64]) {
+        let lines = if with_targets {
+            &self.target_lines
+        } else {
+            &self.mask_lines
+        };
+        self.geometry
+            .encode_into(window, lines, &mut self.scratch, &mut self.pattern);
+        write_tensor(
+            &self.pattern,
+            self.config.tensor_size,
+            out,
+            &mut self.scratch,
+        );
+    }
 }
 
 #[cfg(test)]

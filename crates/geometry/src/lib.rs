@@ -10,7 +10,8 @@
 //!   into concrete mask polygons,
 //! * scanline [`Raster`]isation of rectilinear polygons, and
 //! * [`squish`] pattern encoding (Figure 3 of the CAMO paper) including the
-//!   fixed-size adaptive squish tensor used as policy-network input.
+//!   fixed-size adaptive squish tensor used as policy-network input, and the
+//!   per-step [`FeatureIndex`] that encodes every segment of one mask state.
 //!
 //! All coordinates are in integer nanometres ([`Coord`]); masks are therefore
 //! updated exactly, with no floating-point drift across OPC iterations.
@@ -38,7 +39,7 @@ pub mod simd;
 pub mod squish;
 
 pub use features::{
-    segment_features_basic, segment_features_stacked, segment_window, FeatureConfig,
+    segment_features_basic, segment_features_stacked, segment_window, FeatureConfig, FeatureIndex,
 };
 pub use grid::{CoverageScratch, PixelWindow, Raster};
 pub use mask::MaskState;

@@ -34,11 +34,16 @@ pub struct SquishPattern {
 impl SquishPattern {
     /// Encodes the geometry visible in `window`.
     ///
-    /// Scanlines are placed at the window boundary, at every polygon edge and
-    /// at every rectangle edge that falls inside the window. `extra_x` /
-    /// `extra_y` allow callers to force additional scanlines (CAMO adds the
-    /// *target* edges when encoding the mask so that edge movements stand
-    /// out).
+    /// Scanlines are placed at the window boundary and at every edge
+    /// coordinate of the geometry that lies strictly inside the window's x
+    /// (or y) range: the x of every vertical polygon edge and the y of every
+    /// horizontal one, both sides of every rectangle (empty ones included),
+    /// and `extra_x` / `extra_y` (CAMO adds the *target* edges when encoding
+    /// the mask so that edge movements stand out). The coordinate alone
+    /// decides: an edge of geometry that does not meet the window still adds
+    /// its scanline. A cell is occupied when its centre, rounded toward zero,
+    /// lies in a polygon ([`Polygon::contains_point`]) or in a non-empty
+    /// rectangle.
     pub fn encode(
         window: Rect,
         polygons: &[Polygon],
@@ -46,69 +51,21 @@ impl SquishPattern {
         extra_x: &[Coord],
         extra_y: &[Coord],
     ) -> Self {
-        let mut xs: Vec<Coord> = vec![window.x0, window.x1];
-        let mut ys: Vec<Coord> = vec![window.y0, window.y1];
-        for p in polygons {
-            for (a, b) in p.edges() {
-                if a.x == b.x {
-                    if a.x > window.x0 && a.x < window.x1 {
-                        xs.push(a.x);
-                    }
-                } else if a.y > window.y0 && a.y < window.y1 {
-                    ys.push(a.y);
-                }
-            }
-        }
-        for r in rects {
-            for x in [r.x0, r.x1] {
-                if x > window.x0 && x < window.x1 {
-                    xs.push(x);
-                }
-            }
-            for y in [r.y0, r.y1] {
-                if y > window.y0 && y < window.y1 {
-                    ys.push(y);
-                }
-            }
-        }
-        for &x in extra_x {
-            if x > window.x0 && x < window.x1 {
-                xs.push(x);
-            }
-        }
-        for &y in extra_y {
-            if y > window.y0 && y < window.y1 {
-                ys.push(y);
-            }
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
+        let lines = Scanlines::new(polygons, rects, extra_x, extra_y);
+        let geometry = SquishGeometry::new(polygons.to_vec(), rects);
+        let mut pattern = Self::empty();
+        geometry.encode_into(window, &lines, &mut SquishScratch::default(), &mut pattern);
+        pattern
+    }
 
-        let cols = xs.len() - 1;
-        let rows = ys.len() - 1;
-        let delta_x: Vec<Coord> = xs.windows(2).map(|w| w[1] - w[0]).collect();
-        let delta_y: Vec<Coord> = ys.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut matrix = vec![0.0; cols * rows];
-        for row in 0..rows {
-            let cy = (ys[row] + ys[row + 1]) / 2;
-            for col in 0..cols {
-                let cx = (xs[col] + xs[col + 1]) / 2;
-                let p = crate::point::Point::new(cx, cy);
-                let covered = polygons.iter().any(|poly| poly.contains_point(p))
-                    || rects.iter().any(|r| r.contains_point(p) && !r.is_empty());
-                if covered {
-                    matrix[row * cols + col] = 1.0;
-                }
-            }
-        }
+    /// A pattern with no cells, for [`SquishGeometry::encode_into`] to fill.
+    pub(crate) fn empty() -> Self {
         Self {
-            matrix,
-            delta_x,
-            delta_y,
-            cols,
-            rows,
+            matrix: Vec::new(),
+            delta_x: Vec::new(),
+            delta_y: Vec::new(),
+            cols: 0,
+            rows: 0,
         }
     }
 
@@ -174,20 +131,8 @@ impl AdaptiveSquishTensor {
     ///
     /// Panics if `size == 0`.
     pub fn from_pattern(pattern: &SquishPattern, size: usize) -> Self {
-        assert!(size > 0, "tensor size must be positive");
-        let (matrix, dx, dy) = adapt(pattern, size);
-        let wx: Coord = dx.iter().sum::<Coord>().max(1);
-        let wy: Coord = dy.iter().sum::<Coord>().max(1);
         let mut data = vec![0.0; Self::CHANNELS * size * size];
-        let plane = size * size;
-        for (row, &dy_row) in dy.iter().enumerate() {
-            for (col, &dx_col) in dx.iter().enumerate() {
-                let idx = row * size + col;
-                data[idx] = matrix[idx];
-                data[plane + idx] = dx_col as f64 / wx as f64;
-                data[2 * plane + idx] = dy_row as f64 / wy as f64;
-            }
-        }
+        write_tensor(pattern, size, &mut data, &mut SquishScratch::default());
         Self { data, size }
     }
 
@@ -211,8 +156,8 @@ impl AdaptiveSquishTensor {
         self.data.is_empty()
     }
 
-    /// Concatenates two tensors channel-wise (used by CAMO to stack the mask
-    /// encoding with the target-edge-highlighted encoding into 6 channels).
+    /// Concatenates two tensors channel-wise (the layout of CAMO's 6-channel
+    /// features: the mask encoding, then the target-edge-highlighted one).
     ///
     /// # Panics
     ///
@@ -229,84 +174,269 @@ impl AdaptiveSquishTensor {
     }
 }
 
-/// Merges or pads a squish pattern to exactly `size × size`.
-fn adapt(pattern: &SquishPattern, size: usize) -> (Vec<f64>, Vec<Coord>, Vec<Coord>) {
-    let mut matrix = pattern.matrix.clone();
-    let mut cols = pattern.cols;
-    let mut rows = pattern.rows;
-    let mut dx = pattern.delta_x.clone();
-    let mut dy = pattern.delta_y.clone();
+/// Candidate scanline coordinates, sorted and deduplicated: the x of every
+/// vertical edge and the y of every horizontal edge of some geometry, plus
+/// extra lines. A window's scanlines are its bounds and the candidates
+/// strictly inside it (see [`SquishPattern::encode`]).
+#[derive(Debug)]
+pub(crate) struct Scanlines {
+    xs: Vec<Coord>,
+    ys: Vec<Coord>,
+}
 
-    // Merge columns while too many.
-    while cols > size {
-        let (i, _) = dx
+impl Scanlines {
+    /// Candidates of `polygons`, `rects` (empty ones included) and the
+    /// extra lines.
+    pub(crate) fn new(
+        polygons: &[Polygon],
+        rects: &[Rect],
+        extra_x: &[Coord],
+        extra_y: &[Coord],
+    ) -> Self {
+        let mut xs = extra_x.to_vec();
+        let mut ys = extra_y.to_vec();
+        for p in polygons {
+            for (a, b) in p.edges() {
+                if a.x == b.x {
+                    xs.push(a.x);
+                } else {
+                    ys.push(a.y);
+                }
+            }
+        }
+        for r in rects {
+            xs.extend([r.x0, r.x1]);
+            ys.extend([r.y0, r.y1]);
+        }
+        xs.sort_unstable();
+        xs.dedup();
+        ys.sort_unstable();
+        ys.dedup();
+        Self { xs, ys }
+    }
+}
+
+/// Writes the scanlines of the interval `[lo, hi]` into `out`: both bounds
+/// and every candidate strictly between them, ascending. A zero-width
+/// interval has the single line `lo` and so no cells.
+fn window_lines(candidates: &[Coord], lo: Coord, hi: Coord, out: &mut Vec<Coord>) {
+    out.clear();
+    out.push(lo);
+    let start = candidates.partition_point(|&c| c <= lo);
+    let end = candidates.partition_point(|&c| c < hi).max(start);
+    out.extend_from_slice(&candidates[start..end]);
+    if hi > lo {
+        out.push(hi);
+    }
+}
+
+/// The geometry a squish pattern covers, with a bounding box per polygon so
+/// that a window visits only the polygons that can cover one of its cells.
+#[derive(Debug)]
+pub(crate) struct SquishGeometry {
+    polygons: Vec<Polygon>,
+    bboxes: Vec<Rect>,
+    /// The non-empty rectangles; empty ones add scanlines but cover nothing.
+    rects: Vec<Rect>,
+}
+
+/// Buffers the encoder reuses from one window to the next.
+#[derive(Debug, Default)]
+pub(crate) struct SquishScratch {
+    xs: Vec<Coord>,
+    ys: Vec<Coord>,
+    /// Cell-centre x of every column, non-decreasing.
+    cx: Vec<Coord>,
+    crossings: Vec<Coord>,
+    dx: Vec<Coord>,
+    dy: Vec<Coord>,
+    col_group: Vec<usize>,
+    row_group: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl SquishGeometry {
+    pub(crate) fn new(polygons: Vec<Polygon>, rects: &[Rect]) -> Self {
+        Self {
+            bboxes: polygons.iter().map(Polygon::bounding_box).collect(),
+            polygons,
+            rects: rects.iter().filter(|r| !r.is_empty()).copied().collect(),
+        }
+    }
+
+    /// Encodes `window` into `out` on the scanlines `lines` places in it,
+    /// with the occupancy rule of [`SquishPattern::encode`].
+    ///
+    /// Occupancy is filled row by row, visiting only the polygons whose
+    /// bounding box meets the window and spans the row's centre. Each marks
+    /// its boundary spans and the cell centres with an odd number of its edge
+    /// crossings to their right.
+    pub(crate) fn encode_into(
+        &self,
+        window: Rect,
+        lines: &Scanlines,
+        scratch: &mut SquishScratch,
+        out: &mut SquishPattern,
+    ) {
+        window_lines(&lines.xs, window.x0, window.x1, &mut scratch.xs);
+        window_lines(&lines.ys, window.y0, window.y1, &mut scratch.ys);
+        let cols = scratch.xs.len() - 1;
+        out.cols = cols;
+        out.rows = scratch.ys.len() - 1;
+        out.delta_x.clear();
+        out.delta_x
+            .extend(scratch.xs.windows(2).map(|w| w[1] - w[0]));
+        out.delta_y.clear();
+        out.delta_y
+            .extend(scratch.ys.windows(2).map(|w| w[1] - w[0]));
+        out.matrix.clear();
+        out.matrix.resize(cols * out.rows, 0.0);
+
+        scratch.cx.clear();
+        scratch
+            .cx
+            .extend(scratch.xs.windows(2).map(|w| (w[0] + w[1]) / 2));
+        let cx = &scratch.cx;
+        for (row, w) in scratch.ys.windows(2).enumerate() {
+            let cy = (w[0] + w[1]) / 2;
+            let cells = &mut out.matrix[row * cols..(row + 1) * cols];
+            for r in &self.rects {
+                if r.y0 <= cy && cy <= r.y1 {
+                    cover(cells, cx, r.x0, r.x1);
+                }
+            }
+            for (polygon, bbox) in self.polygons.iter().zip(&self.bboxes) {
+                let meets_window = bbox.x0 <= window.x1 && window.x0 <= bbox.x1;
+                if meets_window && bbox.y0 <= cy && cy <= bbox.y1 {
+                    cover_polygon_row(polygon, cy, cx, cells, &mut scratch.crossings);
+                }
+            }
+        }
+    }
+}
+
+/// Marks the cells of one row whose centre (`cx`, `cy`) lies in `polygon`
+/// by [`Polygon::contains_point`]'s rule: on an edge, or with an odd number
+/// of vertical edges spanning `ylo <= cy < yhi` strictly to its right.
+fn cover_polygon_row(
+    polygon: &Polygon,
+    cy: Coord,
+    cx: &[Coord],
+    cells: &mut [f64],
+    crossings: &mut Vec<Coord>,
+) {
+    crossings.clear();
+    for (a, b) in polygon.edges() {
+        if a.x == b.x {
+            let (ylo, yhi) = (a.y.min(b.y), a.y.max(b.y));
+            if ylo <= cy && cy <= yhi {
+                cover(cells, cx, a.x, a.x);
+                if cy < yhi {
+                    crossings.push(a.x);
+                }
+            }
+        } else if a.y == cy {
+            cover(cells, cx, a.x.min(b.x), a.x.max(b.x));
+        }
+    }
+    crossings.sort_unstable();
+    // Crossings at or left of the current centre; `cx` is non-decreasing.
+    let mut left = 0;
+    for (cell, &x) in cells.iter_mut().zip(cx) {
+        while left < crossings.len() && crossings[left] <= x {
+            left += 1;
+        }
+        if (crossings.len() - left) % 2 == 1 {
+            *cell = 1.0;
+        }
+    }
+}
+
+/// Marks the cells whose centre lies in `[lo, hi]`.
+fn cover(cells: &mut [f64], cx: &[Coord], lo: Coord, hi: Coord) {
+    let start = cx.partition_point(|&c| c < lo);
+    let end = cx.partition_point(|&c| c <= hi);
+    if start < end {
+        cells[start..end].fill(1.0);
+    }
+}
+
+/// Writes the `size × size × 3` tensor of `pattern` into `out`
+/// (`3 · size²` values, layout of [`AdaptiveSquishTensor::data`]).
+///
+/// Columns, then rows, are merged while more than `size` remain: each merge
+/// joins the first adjacent pair with the smallest summed spacing, and a
+/// merged cell is occupied when any of its cells is. Missing columns and rows
+/// are zero-spacing padding.
+pub(crate) fn write_tensor(
+    pattern: &SquishPattern,
+    size: usize,
+    out: &mut [f64],
+    scratch: &mut SquishScratch,
+) {
+    assert!(size > 0, "tensor size must be positive");
+    let SquishScratch {
+        dx,
+        dy,
+        col_group,
+        row_group,
+        starts,
+        ..
+    } = scratch;
+    merge_groups(&pattern.delta_x, size, dx, col_group, starts);
+    merge_groups(&pattern.delta_y, size, dy, row_group, starts);
+    let plane = size * size;
+    let (occupancy, spacing) = out.split_at_mut(plane);
+    occupancy.fill(0.0);
+    for (row, &g_row) in row_group.iter().enumerate() {
+        let cells = &pattern.matrix[row * pattern.cols..(row + 1) * pattern.cols];
+        for (&v, &g_col) in cells.iter().zip(col_group.iter()) {
+            let merged = &mut occupancy[g_row * size + g_col];
+            *merged = merged.max(v);
+        }
+    }
+    let wx = dx.iter().sum::<Coord>().max(1) as f64;
+    let wy = dy.iter().sum::<Coord>().max(1) as f64;
+    let (x_plane, y_plane) = spacing.split_at_mut(plane);
+    for (row, &dy_row) in dy.iter().enumerate() {
+        for (col, &dx_col) in dx.iter().enumerate() {
+            x_plane[row * size + col] = dx_col as f64 / wx;
+            y_plane[row * size + col] = dy_row as f64 / wy;
+        }
+    }
+}
+
+/// Merges the intervals `deltas` down to at most `size`, always joining the
+/// first adjacent pair with the smallest sum. Writes the merged spacings,
+/// zero-padded to `size`, into `merged` and the merged index of every
+/// original interval into `group`.
+fn merge_groups(
+    deltas: &[Coord],
+    size: usize,
+    merged: &mut Vec<Coord>,
+    group: &mut Vec<usize>,
+    starts: &mut Vec<usize>,
+) {
+    merged.clear();
+    merged.extend_from_slice(deltas);
+    starts.clear();
+    starts.extend(0..deltas.len());
+    while merged.len() > size {
+        let (i, _) = merged
             .windows(2)
             .enumerate()
             .min_by_key(|(_, w)| w[0] + w[1])
-            .expect("at least two columns when merging");
-        let mut new_matrix = Vec::with_capacity(rows * (cols - 1));
-        for row in 0..rows {
-            for col in 0..cols {
-                if col == i + 1 {
-                    continue;
-                }
-                let mut v = matrix[row * cols + col];
-                if col == i {
-                    v = v.max(matrix[row * cols + col + 1]);
-                }
-                new_matrix.push(v);
-            }
-        }
-        dx[i] += dx[i + 1];
-        dx.remove(i + 1);
-        matrix = new_matrix;
-        cols -= 1;
+            .expect("at least two intervals when merging");
+        merged[i] += merged[i + 1];
+        merged.remove(i + 1);
+        starts.remove(i + 1);
     }
-    // Merge rows while too many.
-    while rows > size {
-        let (i, _) = dy
-            .windows(2)
-            .enumerate()
-            .min_by_key(|(_, w)| w[0] + w[1])
-            .expect("at least two rows when merging");
-        let mut new_matrix = Vec::with_capacity((rows - 1) * cols);
-        for row in 0..rows {
-            if row == i + 1 {
-                continue;
-            }
-            for col in 0..cols {
-                let mut v = matrix[row * cols + col];
-                if row == i {
-                    v = v.max(matrix[(row + 1) * cols + col]);
-                }
-                new_matrix.push(v);
-            }
-        }
-        dy[i] += dy[i + 1];
-        dy.remove(i + 1);
-        matrix = new_matrix;
-        rows -= 1;
+    group.clear();
+    for (g, &start) in starts.iter().enumerate() {
+        let end = starts.get(g + 1).copied().unwrap_or(deltas.len());
+        group.extend(std::iter::repeat_n(g, end - start));
     }
-    // Pad with zero-spacing columns/rows when too few.
-    if cols < size {
-        let add = size - cols;
-        let mut new_matrix = Vec::with_capacity(rows * size);
-        for row in 0..rows {
-            new_matrix.extend_from_slice(&matrix[row * cols..(row + 1) * cols]);
-            new_matrix.extend(std::iter::repeat_n(0.0, add));
-        }
-        dx.extend(std::iter::repeat_n(0, add));
-        matrix = new_matrix;
-        cols = size;
-    }
-    if rows < size {
-        let add = size - rows;
-        matrix.extend(std::iter::repeat_n(0.0, add * cols));
-        dy.extend(std::iter::repeat_n(0, add));
-        rows = size;
-    }
-    debug_assert_eq!(matrix.len(), rows * cols);
-    (matrix, dx, dy)
+    merged.resize(size, 0);
 }
 
 #[cfg(test)]
@@ -402,5 +532,34 @@ mod tests {
         assert!(sp.matrix.iter().zip(0..).any(|(&v, _)| v > 0.5));
         let p = Point::new(1250, 1250);
         assert!(via.contains_point(p));
+    }
+
+    #[test]
+    fn far_geometry_adds_scanlines_but_no_occupancy() {
+        // The far via lies 1 µm above the window, but its x edges fall inside
+        // the window's x range, so they split the window into three columns.
+        let window = Rect::new(0, 0, 500, 500);
+        let far = Rect::new(100, 1500, 170, 1570);
+        let sp = SquishPattern::encode(window, &[far.to_polygon()], &[], &[], &[]);
+        assert_eq!(sp.delta_x, vec![100, 70, 330]);
+        assert_eq!(sp.delta_y, vec![500]);
+        assert_eq!(sp.covered_area(), 0);
+        // The same holds for rects, empty ones included.
+        let sliver = Rect::new(250, -900, 250, -800);
+        let sp = SquishPattern::encode(window, &[], &[far, sliver], &[], &[]);
+        assert_eq!(sp.delta_x, vec![100, 70, 80, 250]);
+        assert_eq!(sp.covered_area(), 0);
+    }
+
+    #[test]
+    fn zero_width_window_has_no_columns() {
+        let via = Rect::new(215, 215, 285, 285).to_polygon();
+        let sp = SquishPattern::encode(Rect::new(250, 0, 250, 500), &[via], &[], &[], &[]);
+        assert_eq!((sp.cols, sp.rows), (0, 3));
+        assert!(sp.matrix.is_empty());
+        // No occupancy and no x-spacing; the rows keep their spacing.
+        let t = AdaptiveSquishTensor::from_pattern(&sp, 4);
+        assert!(t.data[..2 * 16].iter().all(|&v| v == 0.0));
+        assert_eq!(t.get(2, 1, 0), 70.0 / 500.0);
     }
 }

@@ -237,7 +237,11 @@ fn request_body(
         },
         5 => RequestBody::Metrics,
         6 => RequestBody::Restart {
-            shard: if n.is_multiple_of(2) { None } else { Some(n as usize) },
+            shard: if n.is_multiple_of(2) {
+                None
+            } else {
+                Some(n as usize)
+            },
         },
         7 => RequestBody::Trace,
         8 => RequestBody::Shutdown,

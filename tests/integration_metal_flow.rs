@@ -1,11 +1,15 @@
 //! End-to-end metal-layer flow: routing-clip generation → 60 nm measure-point
 //! fragmentation → simulation → OPC with the Calibre-like engine and CAMO.
 
+#[path = "../crates/geometry/tests/oracle/mod.rs"]
+mod oracle;
+
+use camo::engine::action_to_move;
 use camo::{CamoConfig, CamoEngine};
 use camo_baselines::{CalibreLikeOpc, OpcConfig, OpcEngine};
-use camo_geometry::FragmentationParams;
+use camo_geometry::{Coord, FragmentationParams};
 use camo_litho::{LithoConfig, LithoSimulator};
-use camo_workloads::{MetalGenerator, MetalParams};
+use camo_workloads::{metal_test_set, MetalGenerator, MetalParams};
 
 fn small_metal_params() -> MetalParams {
     MetalParams {
@@ -89,4 +93,47 @@ fn modulator_ablation_changes_metal_trajectory() {
     // two trajectories must differ and the modulated one must not be worse.
     assert_ne!(with_outcome.epe_trajectory, without_outcome.epe_trajectory);
     assert!(with_outcome.total_epe() <= without_outcome.total_epe() + 1e-9);
+}
+
+#[test]
+fn node_features_match_the_per_cell_oracle_at_every_step_of_a_metal_trajectory() {
+    // The loop of `CamoEngine::optimize`, with the features of every step
+    // compared to the former per-segment encoder.
+    let clip = &metal_test_set()[0].clip;
+    let sim = LithoSimulator::new(LithoConfig::fast());
+    let mut engine = CamoEngine::new(OpcConfig::metal_layer(), CamoConfig::fast());
+    let opc = engine.opc_config().clone();
+    let initial = opc.initial_mask(clip);
+    let graph = engine.graph(&initial);
+    let mut eval = sim.evaluator(&initial);
+    let mut epe = eval.epe();
+    let mut steps = 0;
+    for _ in 0..opc.max_steps {
+        if opc.early_exit(epe.mean_abs()) {
+            break;
+        }
+        let features = engine.node_features(eval.mask());
+        assert_eq!(features.len(), eval.mask().segment_count());
+        for (segment, got) in features.iter().enumerate() {
+            let expected =
+                oracle::segment_features_stacked(eval.mask(), segment, &engine.config().features);
+            assert!(
+                got.iter()
+                    .map(|v| v.to_bits())
+                    .eq(expected.iter().map(|v| v.to_bits())),
+                "step {steps}, segment {segment}: features differ from the oracle"
+            );
+        }
+        let decisions = engine.decide(eval.mask(), &graph, &epe, None);
+        let moves: Vec<Coord> = decisions.iter().map(|(a, _)| action_to_move(*a)).collect();
+        eval.apply_moves(&moves);
+        epe = eval.epe();
+        steps += 1;
+    }
+    assert!(steps > 1, "the trajectory must move the mask");
+    assert_ne!(eval.mask().offsets(), initial.offsets());
+    // The replayed loop is the engine's own trajectory.
+    let outcome = engine.optimize(clip, &sim);
+    assert_eq!(outcome.steps, steps);
+    assert_eq!(outcome.mask.offsets(), eval.mask().offsets());
 }
