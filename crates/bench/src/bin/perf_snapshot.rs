@@ -208,13 +208,11 @@ struct ServeSaturation {
     retry_after_ms: u64,
 }
 
-/// End-to-end router-tier throughput at one shard count and one client
-/// wire version, paired with the direct single-process rate over the
-/// *same* multi-configuration stream at the *same* wire version, so the
-/// overhead ratio compares identical workloads and identical encodings.
+/// End-to-end router-tier throughput at one shard count, paired with the
+/// direct single-process rate over the *same* multi-configuration stream,
+/// so the overhead ratio compares identical workloads.
 struct RouterRow {
     shards: usize,
-    wire: camo_serve::WireVersion,
     requests: usize,
     configs: usize,
     requests_per_s: f64,
@@ -225,163 +223,6 @@ impl RouterRow {
     fn overhead_vs_direct(&self) -> f64 {
         self.direct_requests_per_s / self.requests_per_s
     }
-}
-
-/// One codec micro-bench measurement: encoding or decoding one mask-scale
-/// frame in one wire version.
-struct CodecRow {
-    op: &'static str,
-    kind: &'static str,
-    wire: &'static str,
-    frame_bytes: usize,
-    mean_ns: f64,
-}
-
-impl CodecRow {
-    fn frames_per_s(&self) -> f64 {
-        1e9 / self.mean_ns
-    }
-}
-
-/// Codec micro-bench over mask-scale frames: the same `optimize` request
-/// (a real via clip under a full job spec) and the same `outcome`
-/// response (a 4096-point EPE image plus per-segment offsets — the shape
-/// a layout sweep streams back) encoded and decoded through both wire
-/// codecs. v2 moves the `f64` arrays as raw little-endian bit images, so
-/// it is expected (and gated, in `main`) to beat v1's text formatting.
-fn codec_rows(iters: usize) -> Vec<CodecRow> {
-    use camo_serve::exec::case_body;
-    use camo_serve::wire::{
-        decode_request, decode_request_v2, decode_response, decode_response_v2, encode_request,
-        encode_request_v2, encode_response, encode_response_v2, Request, Response, ResponseBody,
-        WireOutcome,
-    };
-
-    let (job, case) = tagged_cases(1, 1).remove(0);
-    let request = Request {
-        id: 7,
-        body: case_body(&case, &job),
-        trace: None,
-    };
-    let points = 4096;
-    let response = Response {
-        id: 7,
-        body: ResponseBody::Outcome(WireOutcome {
-            offsets: (0..points).map(|i| (i % 41) - 20).collect(),
-            epe_per_point: (0..points)
-                .map(|i| (i as f64).mul_add(1e-4, -0.2))
-                .collect(),
-            pv_band: 123_456.789,
-            steps: 12,
-        }),
-    };
-
-    // Pre-encoded frames for the decode measurements; v2 frames are split
-    // into the opcode byte and payload exactly as the reader would after
-    // the length prefix.
-    let req_v1 = encode_request(&request).expect("v1 request encode");
-    let req_v2 = encode_request_v2(&request).expect("v2 request encode");
-    let resp_v1 = encode_response(&response).expect("v1 response encode");
-    let resp_v2 = encode_response_v2(&response).expect("v2 response encode");
-
-    let mut out = Vec::new();
-    out.push(CodecRow {
-        op: "encode",
-        kind: "optimize_request",
-        wire: "v1",
-        frame_bytes: req_v1.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(encode_request(&request).expect("encode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "encode",
-        kind: "optimize_request",
-        wire: "v2",
-        frame_bytes: req_v2.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(encode_request_v2(&request).expect("encode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "decode",
-        kind: "optimize_request",
-        wire: "v1",
-        frame_bytes: req_v1.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(decode_request(&req_v1).expect("decode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "decode",
-        kind: "optimize_request",
-        wire: "v2",
-        frame_bytes: req_v2.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(decode_request_v2(req_v2[4], &req_v2[5..]).expect("decode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "encode",
-        kind: "outcome_response",
-        wire: "v1",
-        frame_bytes: resp_v1.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(encode_response(&response).expect("encode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "encode",
-        kind: "outcome_response",
-        wire: "v2",
-        frame_bytes: resp_v2.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(encode_response_v2(&response).expect("encode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "decode",
-        kind: "outcome_response",
-        wire: "v1",
-        frame_bytes: resp_v1.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(decode_response(&resp_v1).expect("decode"));
-            },
-            iters,
-        ),
-    });
-    out.push(CodecRow {
-        op: "decode",
-        kind: "outcome_response",
-        wire: "v2",
-        frame_bytes: resp_v2.len(),
-        mean_ns: mean_ns(
-            || {
-                black_box(decode_response_v2(resp_v2[4], &resp_v2[5..]).expect("decode"));
-            },
-            iters,
-        ),
-    });
-    out
 }
 
 /// The `serve` binary the router bench spawns as shards: it is built into
@@ -437,7 +278,6 @@ fn tagged_cases(
 /// processes, so an exit never orphans spawned shards).
 fn fire_cases(
     addr: std::net::SocketAddr,
-    wire: camo_serve::WireVersion,
     cases: &[(camo_serve::wire::JobSpec, camo_workloads::ServeCase)],
     what: &str,
     drain: impl FnOnce(),
@@ -446,7 +286,7 @@ fn fire_cases(
     use camo_serve::exec::case_body;
 
     let mut drain = Some(drain);
-    let mut client = match Client::connect_with(addr, wire) {
+    let mut client = match Client::connect(addr) {
         Ok(client) => client,
         Err(e) => {
             (drain.take().expect("drain once"))();
@@ -454,15 +294,6 @@ fn fire_cases(
             std::process::exit(1);
         }
     };
-    if client.wire() != wire {
-        (drain.take().expect("drain once"))();
-        eprintln!(
-            "{what}: negotiated wire {} but the row measures {}",
-            client.wire().as_str(),
-            wire.as_str()
-        );
-        std::process::exit(1);
-    }
     let start = Instant::now();
     let ids: Vec<u64> = cases
         .iter()
@@ -496,16 +327,9 @@ fn fire_cases(
 
 /// Measures the same multi-configuration stream end-to-end twice — through
 /// a direct single-process server, then through `router + shards` real
-/// serve processes — and reports both rates. Both measurements speak
-/// `wire` on the client connection (the router upgrades its shard
-/// channels independently either way), so the overhead ratio isolates the
-/// routing hop from the client-side encoding.
-fn router_throughput(
-    binary: &std::path::Path,
-    shards: usize,
-    requests: usize,
-    wire: camo_serve::WireVersion,
-) -> RouterRow {
+/// serve processes — and reports both rates, so the overhead ratio
+/// isolates the routing hop.
+fn router_throughput(binary: &std::path::Path, shards: usize, requests: usize) -> RouterRow {
     use camo_serve::router::{route_spawned, RouterConfig};
     use camo_serve::shard::{ShardSet, ShardSpec};
     use camo_serve::{serve, ServerConfig};
@@ -520,7 +344,7 @@ fn router_throughput(
     })
     .expect("bind direct baseline server");
     let direct_addr = direct.addr();
-    let direct_secs = fire_cases(direct_addr, wire, &cases, "DIRECT BENCH", move || {
+    let direct_secs = fire_cases(direct_addr, &cases, "DIRECT BENCH", move || {
         direct.shutdown();
     });
 
@@ -542,13 +366,12 @@ fn router_throughput(
         std::process::exit(1);
     });
     let routed_addr = handle.addr();
-    let routed_secs = fire_cases(routed_addr, wire, &cases, "ROUTER BENCH", move || {
+    let routed_secs = fire_cases(routed_addr, &cases, "ROUTER BENCH", move || {
         handle.shutdown();
     });
 
     RouterRow {
         shards,
-        wire,
         requests,
         configs,
         requests_per_s: requests as f64 / routed_secs,
@@ -1381,16 +1204,6 @@ fn main() {
         });
     }
 
-    // Codec micro-bench: v1 text vs v2 binary on mask-scale frames. Runs
-    // in full mode and under the explicit `--codec` flag (the CI gate uses
-    // `--quick --codec`); pure in-process encode/decode, no sockets.
-    let codec_mode = std::env::args().any(|a| a == "--codec") || !quick;
-    let codec = if codec_mode {
-        codec_rows(if quick { 50 } else { 200 })
-    } else {
-        Vec::new()
-    };
-
     // Serving section: end-to-end requests/s over loopback per worker-thread
     // count, plus the queue-saturation probe.
     let mut serve_rows: Vec<ServeRow> = Vec::new();
@@ -1433,13 +1246,7 @@ fn main() {
             match serve_binary() {
                 Some(binary) => {
                     for &shards in &shard_counts {
-                        // One row per client wire version: the router's
-                        // shard channels negotiate v2 on their own, so the
-                        // pair isolates what the client-leg encoding costs
-                        // on the same mask-carrying stream.
-                        for wire in [camo_serve::WireVersion::V1, camo_serve::WireVersion::V2] {
-                            router_rows.push(router_throughput(&binary, shards, requests, wire));
-                        }
+                        router_rows.push(router_throughput(&binary, shards, requests));
                     }
                     respawn_row = Some(respawn_overhead(&binary, requests));
                 }
@@ -1542,47 +1349,6 @@ fn main() {
             cr.speedup()
         );
     }
-    for r in &codec {
-        println!(
-            "codec {:6} {:17} [{}] {:>9} bytes  {:>12.0} ns/frame  ({:>10.0} frames/s)",
-            r.op,
-            r.kind,
-            r.wire,
-            r.frame_bytes,
-            r.mean_ns,
-            r.frames_per_s()
-        );
-    }
-    if !codec.is_empty() {
-        // The gate the CI step relies on: on the same mask-scale frame, a
-        // full v2 encode+decode round trip must not be slower than v1's —
-        // the binary framing exists to take text formatting off the hot
-        // path, and this keeps that claim measured.
-        for kind in ["optimize_request", "outcome_response"] {
-            let total = |wire: &str| -> f64 {
-                codec
-                    .iter()
-                    .filter(|r| r.kind == kind && r.wire == wire)
-                    .map(|r| r.mean_ns)
-                    .sum()
-            };
-            let (v1_ns, v2_ns) = (total("v1"), total("v2"));
-            println!(
-                "codec gate {:17} v2 encode+decode {:.2}x vs v1 ({:.0} ns vs {:.0} ns, gate >= 1.00x)",
-                kind,
-                v1_ns / v2_ns,
-                v2_ns,
-                v1_ns
-            );
-            if v2_ns > v1_ns {
-                eprintln!(
-                    "CODEC REGRESSION: v2 encode+decode of the mask-scale {kind} frame took \
-                     {v2_ns:.0} ns vs {v1_ns:.0} ns for v1"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
     let serve_serial = serve_rows
         .iter()
         .find(|r| r.threads == 1)
@@ -1620,10 +1386,9 @@ fn main() {
     }
     for r in &router_rows {
         println!(
-            "router end-to-end {:>2} shard(s) [{}] {:>8.2} req/s over {} mixed requests across {} config(s), \
+            "router end-to-end {:>2} shard(s) {:>8.2} req/s over {} mixed requests across {} config(s), \
              {:.2}x overhead vs direct ({:.2} req/s) on the same stream",
             r.shards,
-            r.wire.as_str(),
             r.requests_per_s,
             r.requests,
             r.configs,
@@ -1751,25 +1516,6 @@ fn main() {
     } else {
         json.push_str("  \"context_reuse\": null,\n");
     }
-    if codec.is_empty() {
-        json.push_str("  \"codec\": null,\n");
-    } else {
-        json.push_str("  \"codec\": [\n");
-        for (i, r) in codec.iter().enumerate() {
-            let _ = write!(
-                json,
-                "    {{\"op\": \"{}\", \"kind\": \"{}\", \"wire\": \"{}\", \"frame_bytes\": {}, \"mean_ns\": {:.0}, \"frames_per_s\": {:.1}}}",
-                r.op,
-                r.kind,
-                r.wire,
-                r.frame_bytes,
-                r.mean_ns,
-                r.frames_per_s(),
-            );
-            json.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ],\n");
-    }
     if serve_rows.is_empty() && serve_sat.is_none() {
         json.push_str("  \"serve\": null\n");
     } else {
@@ -1827,9 +1573,8 @@ fn main() {
             for (i, r) in router_rows.iter().enumerate() {
                 let _ = write!(
                     json,
-                    "    {{\"op\": \"router_end_to_end\", \"shards\": {}, \"wire\": \"{}\", \"configs\": {}, \"requests\": {}, \"requests_per_s\": {:.3}, \"direct_requests_per_s\": {:.3}, \"overhead_vs_direct\": {:.2}}}",
+                    "    {{\"op\": \"router_end_to_end\", \"shards\": {}, \"configs\": {}, \"requests\": {}, \"requests_per_s\": {:.3}, \"direct_requests_per_s\": {:.3}, \"overhead_vs_direct\": {:.2}}}",
                     r.shards,
-                    r.wire.as_str(),
                     r.configs,
                     r.requests,
                     r.requests_per_s,

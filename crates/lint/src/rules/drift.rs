@@ -1,11 +1,11 @@
 //! Rule `drift`: documentation that third parties implement against must
 //! track the code, mechanically.
 //!
-//! * Every request/response kind string returned by the two `fn kind`
-//!   bodies in `crates/serve/src/wire.rs` — and every v2 opcode name
-//!   returned by `fn opcode_name` — must appear (as a whole word) in
-//!   `docs/WIRE_PROTOCOL.md`, so an undocumented binary opcode fails CI
-//!   exactly like an undocumented text kind.
+//! * Every request/response kind name in `crates/serve/src/wire.rs` — the
+//!   string literals of `fn opcode_name`, the one table the `fn kind`
+//!   methods delegate to (literals in a `fn kind` body are scanned too) —
+//!   must appear (as a whole word) in `docs/WIRE_PROTOCOL.md`, so an
+//!   undocumented opcode fails CI.
 //! * Every `--flag` string literal parsed by the `serve` and
 //!   `camo-client` binaries must appear in `README.md` or any file under
 //!   `docs/`.
@@ -60,8 +60,7 @@ fn wire_kinds(files: &[SourceFile], docs: &[(String, String)], out: &mut Vec<Fin
 
 /// String literals inside the bodies of `fn kind` and `fn opcode_name`
 /// functions — exactly the request/response kind vocabulary of the
-/// protocol, across both wire versions (the v2 opcode table reuses the v1
-/// kind names, so both feed the same documentation check).
+/// protocol, which wire.rs writes once, in `Opcode::opcode_name`.
 fn kind_strings(wire: &SourceFile) -> Vec<(usize, String)> {
     let toks = &wire.tokens;
     let mut out = Vec::new();

@@ -1,4 +1,4 @@
-//! Element-wise activation layers.
+//! The element-wise activation layer.
 
 use crate::tensor::Tensor;
 
@@ -47,91 +47,6 @@ impl Relu {
     }
 }
 
-/// Hyperbolic-tangent activation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Tanh {
-    output_cache: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forward pass; caches the output for backward.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f64::tanh);
-        self.output_cache = Some(out.clone());
-        out
-    }
-
-    /// Forward pass without caching.
-    pub fn forward_inference(&self, input: &Tensor) -> Tensor {
-        input.map(f64::tanh)
-    }
-
-    /// Backward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` was not called first.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self
-            .output_cache
-            .as_ref()
-            .expect("Tanh::backward called before forward");
-        Tensor::from_vec(
-            out.data()
-                .iter()
-                .zip(grad_output.data())
-                .map(|(&y, &g)| g * (1.0 - y * y))
-                .collect(),
-            out.shape().to_vec(),
-        )
-    }
-}
-
-/// Logistic sigmoid activation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sigmoid {
-    output_cache: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forward pass; caches the output for backward.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.output_cache = Some(out.clone());
-        out
-    }
-
-    /// Backward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` was not called first.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self
-            .output_cache
-            .as_ref()
-            .expect("Sigmoid::backward called before forward");
-        Tensor::from_vec(
-            out.data()
-                .iter()
-                .zip(grad_output.data())
-                .map(|(&y, &g)| g * y * (1.0 - y))
-                .collect(),
-            out.shape().to_vec(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,34 +58,5 @@ mod tests {
         assert_eq!(relu.forward(&x).data(), &[0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::ones(vec![1, 3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_check() {
-        let mut tanh = Tanh::new();
-        let x = Tensor::from_vec(vec![0.3, -0.7, 1.2], vec![1, 3]);
-        let _ = tanh.forward(&x);
-        let g = tanh.backward(&Tensor::ones(vec![1, 3]));
-        let eps = 1e-6;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let numeric = (xp.map(f64::tanh).sum() - xm.map(f64::tanh).sum()) / (2.0 * eps);
-            assert!((numeric - g.data()[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sigmoid_outputs_in_unit_interval() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], vec![1, 3]);
-        let y = s.forward(&x);
-        assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        assert!((y.data()[1] - 0.5).abs() < 1e-12);
-        let g = s.backward(&Tensor::ones(vec![1, 3]));
-        // Gradient peaks at the middle input.
-        assert!(g.data()[1] > g.data()[0] && g.data()[1] > g.data()[2]);
     }
 }

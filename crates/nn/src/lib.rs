@@ -7,7 +7,8 @@
 //!
 //! * [`Tensor`]: a dense row-major n-d array of `f64`,
 //! * [`Param`]: a trainable tensor with an accumulated gradient,
-//! * [`Linear`], [`Conv2d`], [`AvgPool2d`], activations, [`Softmax`],
+//! * [`Linear`] and the [`Relu`] activation,
+//! * [`softmax()`], [`log_softmax`] and [`cross_entropy_grad`],
 //! * [`SageLayer`]: GraphSAGE mean-aggregation over an adjacency list,
 //! * [`RnnStack`]: a multi-layer Elman RNN with backpropagation through time,
 //! * [`Sgd`]: stochastic gradient descent with optional momentum.
@@ -32,7 +33,6 @@
 //! ```
 
 pub mod activation;
-pub mod conv;
 pub mod init;
 pub mod linear;
 pub mod optim;
@@ -41,12 +41,11 @@ pub mod sage;
 pub mod softmax;
 pub mod tensor;
 
-pub use activation::{Relu, Sigmoid, Tanh};
-pub use conv::{AvgPool2d, Conv2d};
+pub use activation::Relu;
 pub use init::xavier_uniform;
 pub use linear::Linear;
 pub use optim::{Optimizer, Sgd};
 pub use rnn::RnnStack;
 pub use sage::SageLayer;
-pub use softmax::{cross_entropy_grad, log_softmax, softmax, Softmax};
+pub use softmax::{cross_entropy_grad, log_softmax, softmax};
 pub use tensor::{Param, Tensor};

@@ -1,8 +1,6 @@
 //! Softmax, log-softmax and the cross-entropy gradient used by both the
 //! behaviour-cloning phase and the REINFORCE update.
 
-use crate::tensor::Tensor;
-
 /// Numerically stable softmax over a 1-D slice.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -35,60 +33,6 @@ pub fn cross_entropy_grad(logits: &[f64], target: usize, coeff: f64) -> Vec<f64>
         *g *= coeff;
     }
     grad
-}
-
-/// A softmax layer over the last dimension of a `[batch, classes]` tensor.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Softmax {
-    output_cache: Option<Tensor>,
-}
-
-impl Softmax {
-    /// Creates a softmax layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forward pass on `[batch, classes]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 2-D.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "Softmax expects a 2-D input");
-        let (batch, classes) = (input.shape()[0], input.shape()[1]);
-        let mut out = Tensor::zeros(vec![batch, classes]);
-        for b in 0..batch {
-            let row = &input.data()[b * classes..(b + 1) * classes];
-            let p = softmax(row);
-            out.data_mut()[b * classes..(b + 1) * classes].copy_from_slice(&p);
-        }
-        self.output_cache = Some(out.clone());
-        out
-    }
-
-    /// Backward pass through the softmax Jacobian.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` was not called first.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self
-            .output_cache
-            .as_ref()
-            .expect("Softmax::backward called before forward");
-        let (batch, classes) = (out.shape()[0], out.shape()[1]);
-        let mut grad = Tensor::zeros(vec![batch, classes]);
-        for b in 0..batch {
-            let y = &out.data()[b * classes..(b + 1) * classes];
-            let go = &grad_output.data()[b * classes..(b + 1) * classes];
-            let dot: f64 = y.iter().zip(go).map(|(a, b)| a * b).sum();
-            for c in 0..classes {
-                grad.data_mut()[b * classes + c] = y[c] * (go[c] - dot);
-            }
-        }
-        grad
-    }
 }
 
 #[cfg(test)]
@@ -137,26 +81,5 @@ mod tests {
             let numeric = (loss(&lp) - loss(&lm)) / (2.0 * eps);
             assert!((numeric - grad[i]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn softmax_layer_backward_matches_manual_jacobian() {
-        let mut layer = Softmax::new();
-        let x = Tensor::from_vec(vec![0.1, 0.5, -0.3], vec![1, 3]);
-        let y = layer.forward(&x);
-        // Loss = y[0]; gradient wrt logits via finite differences.
-        let mut go = Tensor::zeros(vec![1, 3]);
-        go.data_mut()[0] = 1.0;
-        let g = layer.backward(&go);
-        let eps = 1e-6;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let numeric = (softmax(xp.data())[0] - softmax(xm.data())[0]) / (2.0 * eps);
-            assert!((numeric - g.data()[i]).abs() < 1e-6);
-        }
-        assert!((y.data().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

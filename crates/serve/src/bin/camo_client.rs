@@ -3,7 +3,7 @@
 //! ```text
 //! camo-client [--addr 127.0.0.1:7878 | --front ADDR | --port-file PATH]
 //!             [--requests N] [--seed S] [--smoke] [--engine calibre|camo]
-//!             [--litho fast|default] [--max-steps N] [--wire v1|v2]
+//!             [--litho fast|default] [--max-steps N]
 //!             [--verify] [--metrics] [--trace-out FILE]
 //!             [--restart [SHARD]] [--shutdown]
 //! ```
@@ -13,11 +13,9 @@
 //! byte-for-byte the single-process protocol (and `--verify` holds through
 //! the router: routed results are bit-identical to offline runs).
 //!
-//! `--wire v2` sends the `hello` handshake after connecting and runs the
-//! whole session over the binary v2 framing when the server accepts; a
-//! refusal (a v1-only server) falls back to v1 silently — the printed
-//! summary names the version that was actually negotiated. The default is
-//! `--wire v1`, the protocol every server speaks.
+//! The connection opens with the one-line text `hello` preface and runs
+//! the whole session over binary frames; a refused preface (a server at
+//! its connection cap answers `busy`) exits 1 with the server's reply.
 //!
 //! Generates a deterministic mixed request stream
 //! ([`camo_workloads::request_stream`]), fires it at the server, retries
@@ -48,7 +46,7 @@ use camo_serve::exec::{evaluate_mask, run_layout, run_optimize, run_sweep};
 use camo_serve::wire::{
     EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome,
 };
-use camo_serve::{chrome_trace_json, MetricsReport, WireVersion};
+use camo_serve::{chrome_trace_json, MetricsReport};
 use camo_workloads::{request_stream, RequestStreamParams, ServeCase};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -277,24 +275,9 @@ fn main() {
         }),
     };
 
-    let wire = match flag_value(&args, "--wire").as_deref() {
-        None | Some("v1") => WireVersion::V1,
-        Some("v2") => WireVersion::V2,
-        Some(other) => fail(format!("unknown --wire '{other}' (expected v1 or v2)")),
-    };
-
     let cases = request_stream(&stream_params, seed, requests);
     let mut client =
-        Client::connect_with(&addr, wire).unwrap_or_else(|e| fail(format!("connect {addr}: {e}")));
-    if wire == WireVersion::V2 {
-        println!(
-            "camo-client: negotiated wire {}",
-            match client.wire() {
-                WireVersion::V2 => "v2",
-                WireVersion::V1 => "v1 (handshake refused; fell back)",
-            }
-        );
-    }
+        Client::connect(&addr).unwrap_or_else(|e| fail(format!("connect {addr}: {e}")));
 
     let start = Instant::now();
     // id → index of the case it carries (rebuilt on busy retries).
@@ -437,19 +420,9 @@ fn main() {
         let id = client
             .send(RequestBody::Shutdown)
             .unwrap_or_else(|e| fail(format!("shutdown send: {e}")));
-        loop {
-            match client.recv() {
-                Ok(Some(response)) if response.id == id => {
-                    if matches!(response.body, ResponseBody::ShuttingDown) {
-                        println!("camo-client: server acknowledged shutdown");
-                        break;
-                    }
-                    fail(format!("unexpected shutdown reply: {:?}", response.body));
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) => fail("eof before shutdown acknowledgement"),
-                Err(e) => fail(format!("recv: {e}")),
-            }
+        match await_reply(&mut client, id) {
+            ResponseBody::ShuttingDown => println!("camo-client: server acknowledged shutdown"),
+            other => fail(format!("unexpected shutdown reply: {other:?}")),
         }
     }
 }

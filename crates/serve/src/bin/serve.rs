@@ -4,18 +4,16 @@
 //! ```text
 //! serve [--host 127.0.0.1] [--port 7878] [--threads N] [--queue-depth N]
 //!       [--max-connections N] [--dispatchers N] [--retry-after-ms N]
-//!       [--port-file PATH] [--trace-sample N] [--wire v1|v2]
+//!       [--port-file PATH] [--trace-sample N]
 //!       [--shards N|auto] [--forwarders N]
 //!       [--probe-interval-ms N] [--probe-timeout-ms N]
 //!       [--respawn-backoff-ms N] [--respawn-backoff-max-ms N]
 //!       [--breaker-window-ms N] [--breaker-failures N]
 //! ```
 //!
-//! `--wire v2` (the default) accepts the client `hello` handshake that
-//! upgrades a connection to the binary v2 framing; `--wire v1` pins the
-//! whole process — client front and, in router mode, the shard channels —
-//! to the v1 text protocol. Connections always start in v1 either way, so
-//! every existing client keeps working (see `docs/WIRE_PROTOCOL.md`).
+//! Every connection opens with a one-line text `hello` answered by a
+//! `hello_ack`; everything after it is binary frames (see
+//! `docs/WIRE_PROTOCOL.md`).
 //!
 //! `--port 0` binds an ephemeral port; the bound address is printed on
 //! stdout and, with `--port-file`, written to a file so scripts (CI smoke)
@@ -38,7 +36,6 @@
 use camo_serve::cli::{flag_value, parsed_flag};
 use camo_serve::{
     route_spawned, serve, RespawnPolicy, RouterConfig, ServerConfig, ShardSet, ShardSpec,
-    WireVersion,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -53,20 +50,7 @@ const SHARD_FLAGS: &[&str] = &[
     "--context-capacity",
     "--coalesce-limit",
     "--trace-sample",
-    "--wire",
 ];
-
-/// Parses `--wire v1|v2` (defaulting to v2); any other value exits 2.
-fn wire_flag(args: &[String]) -> WireVersion {
-    match flag_value(args, "--wire").as_deref() {
-        None | Some("v2") => WireVersion::V2,
-        Some("v1") => WireVersion::V1,
-        Some(raw) => {
-            eprintln!("invalid value for --wire: {raw} (expected v1 or v2)");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn run_router(args: &[String], addr: SocketAddr, shards: usize) {
     let defaults = RouterConfig::default();
@@ -111,11 +95,6 @@ fn run_router(args: &[String], addr: SocketAddr, shards: usize) {
             ),
         },
         trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample),
-        // One flag pins both planes: a v1-only tier must neither accept
-        // client hellos nor handshake its own shards (which inherit the
-        // flag below and would otherwise refuse anyway).
-        wire: wire_flag(args),
-        shard_wire: wire_flag(args),
     };
     // Reject degenerate knobs (zero intervals, empty windows) before
     // anything binds or spawns; the typed message names the bad flag.
@@ -203,7 +182,6 @@ fn main() {
         context_capacity: parsed_flag(&args, "--context-capacity", defaults.context_capacity),
         coalesce_limit: parsed_flag(&args, "--coalesce-limit", defaults.coalesce_limit),
         trace_sample: parsed_flag(&args, "--trace-sample", defaults.trace_sample),
-        wire: wire_flag(&args),
     };
     let threads = config.threads;
     let queue_depth = config.queue_depth;

@@ -13,10 +13,9 @@
 use crate::wire::{
     decode_response, decode_response_v2, encode_request, encode_request_v2, read_frame,
     read_frame_v2, Frame, FrameV2, Request, RequestBody, Response, ResponseBody, WireError,
-    WireVersion,
 };
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -65,6 +64,11 @@ pub enum ClientError {
     /// The peer violated the correlation protocol (duplicate case index,
     /// response for an unknown id, inconsistent totals).
     Protocol(String),
+    /// The peer answered the connection's `hello` preface with something
+    /// other than `hello_ack`: a `busy` (over its connection cap, with the
+    /// retry hint) or a `bad_request` error. The peer closes the connection
+    /// after it.
+    Refused(Box<ResponseBody>),
 }
 
 impl std::fmt::Display for ClientError {
@@ -73,6 +77,7 @@ impl std::fmt::Display for ClientError {
             Self::Io(e) => write!(f, "io error: {e}"),
             Self::Wire(e) => write!(f, "wire error: {e}"),
             Self::Protocol(what) => write!(f, "protocol error: {what}"),
+            Self::Refused(body) => write!(f, "connection refused by the peer: {body:?}"),
         }
     }
 }
@@ -91,98 +96,71 @@ impl From<WireError> for ClientError {
     }
 }
 
+/// Sends the text `hello` preface on a fresh connection and reads the
+/// peer's one-line verdict; everything after a `hello_ack` is binary
+/// frames. Any other reply is [`ClientError::Refused`], and EOF before a
+/// reply is a protocol error.
+pub(crate) fn handshake(
+    writer: &mut impl Write,
+    reader: &mut impl BufRead,
+    id: u64,
+) -> Result<(), ClientError> {
+    let hello = encode_request(&Request {
+        id,
+        body: RequestBody::Hello { version: 2 },
+        trace: None,
+    })?;
+    writer.write_all(format!("{hello}\n").as_bytes())?;
+    writer.flush()?;
+    match read_frame(reader)? {
+        Some(Frame::Line(line)) => match decode_response(&line)? {
+            Response {
+                id: ack_id,
+                body: ResponseBody::HelloAck { version: 2 },
+            } if ack_id == id => Ok(()),
+            Response { body, .. } => Err(ClientError::Refused(Box::new(body))),
+        },
+        Some(Frame::Oversized { len }) => Err(ClientError::Wire(WireError::Oversized { len })),
+        None => Err(ClientError::Protocol("eof before the hello reply".into())),
+    }
+}
+
 /// A blocking connection to a serve process.
 pub struct Client {
     writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
     next_id: u64,
-    wire: WireVersion,
 }
 
 impl Client {
-    /// Connects to `addr` speaking wire v1 (every server understands it).
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+    /// Connects to `addr` and performs the `hello` preface, so the
+    /// connection speaks binary frames from then on. A peer that answers
+    /// with anything but `hello_ack` (a `busy` from a server at its
+    /// connection cap, say) is [`ClientError::Refused`].
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let read_half = stream.try_clone()?;
-        Ok(Self {
+        let mut client = Self {
             writer: BufWriter::new(stream),
             reader: BufReader::new(read_half),
             next_id: 1,
-            wire: WireVersion::V1,
-        })
-    }
-
-    /// Connects and, for [`WireVersion::V2`], attempts the `hello` upgrade.
-    /// A refused handshake (a v1-only peer) is not an error: the client
-    /// simply keeps speaking v1, and [`Self::wire`] reports what was
-    /// actually negotiated.
-    pub fn connect_with(addr: impl ToSocketAddrs, wire: WireVersion) -> Result<Self, ClientError> {
-        let mut client = Self::connect(addr)?;
-        if wire == WireVersion::V2 {
-            client.upgrade()?;
-        }
+        };
+        let id = client.fresh_id();
+        handshake(&mut client.writer, &mut client.reader, id)?;
         Ok(client)
     }
 
-    /// The wire version this connection currently speaks.
-    pub fn wire(&self) -> WireVersion {
-        self.wire
-    }
-
-    /// Sends the v1 `hello` handshake and waits for the verdict. On
-    /// `hello_ack` the connection switches to the v2 binary framing; on any
-    /// other reply (a v1-only or version-refusing peer) it stays v1. Only a
-    /// transport/codec failure is an error.
-    fn upgrade(&mut self) -> Result<(), ClientError> {
+    fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.send_request(&Request {
-            id,
-            body: RequestBody::Hello { version: 2 },
-            trace: None,
-        })?;
-        match self.recv()? {
-            Some(Response {
-                id: ack_id,
-                body: ResponseBody::HelloAck { .. },
-            }) if ack_id == id => {
-                self.wire = WireVersion::V2;
-                Ok(())
-            }
-            // Refusal (typically a typed `bad_request`) or EOF: fall back.
-            // `hello` is this connection's only in-flight request, so the
-            // reply — whatever it is — can only concern the handshake.
-            _ => Ok(()),
-        }
+        id
     }
 
     /// Sends a body under a fresh id and returns that id.
     pub fn send(&mut self, body: RequestBody) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.send_request(&Request {
-            id,
-            body,
-            trace: None,
-        })?;
+        let id = self.send_pipelined(body)?;
+        self.flush()?;
         Ok(id)
-    }
-
-    /// Sends a fully specified request (caller-chosen id).
-    pub fn send_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        match self.wire {
-            WireVersion::V1 => {
-                let frame = encode_request(request)?;
-                self.writer.write_all(frame.as_bytes())?;
-                self.writer.write_all(b"\n")?;
-            }
-            WireVersion::V2 => {
-                let frame = encode_request_v2(request)?;
-                self.writer.write_all(&frame)?;
-            }
-        }
-        self.writer.flush()?;
-        Ok(())
     }
 
     /// Queues a request without flushing — the pipelining primitive. Callers
@@ -190,24 +168,13 @@ impl Client {
     /// multiple requests in flight on one connection; responses correlate by
     /// id as usual.
     pub fn send_pipelined(&mut self, body: RequestBody) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.fresh_id();
         let request = Request {
             id,
             body,
             trace: None,
         };
-        match self.wire {
-            WireVersion::V1 => {
-                let frame = encode_request(&request)?;
-                self.writer.write_all(frame.as_bytes())?;
-                self.writer.write_all(b"\n")?;
-            }
-            WireVersion::V2 => {
-                let frame = encode_request_v2(&request)?;
-                self.writer.write_all(&frame)?;
-            }
-        }
+        self.writer.write_all(&encode_request_v2(&request)?)?;
         Ok(id)
     }
 
@@ -219,30 +186,14 @@ impl Client {
 
     /// Receives the next response; `None` on clean EOF.
     pub fn recv(&mut self) -> Result<Option<Response>, ClientError> {
-        match self.wire {
-            WireVersion::V1 => loop {
-                match read_frame(&mut self.reader)? {
-                    None => return Ok(None),
-                    Some(Frame::Oversized { len }) => {
-                        return Err(ClientError::Wire(WireError::Oversized { len }))
-                    }
-                    Some(Frame::Line(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        return Ok(Some(decode_response(&line)?));
-                    }
-                }
-            },
-            WireVersion::V2 => match read_frame_v2(&mut self.reader)? {
-                None => Ok(None),
-                Some(FrameV2::Oversized { len }) => {
-                    Err(ClientError::Wire(WireError::Oversized { len }))
-                }
-                Some(FrameV2::Frame { opcode, payload }) => {
-                    Ok(Some(decode_response_v2(opcode, &payload)?))
-                }
-            },
+        match read_frame_v2(&mut self.reader)? {
+            None => Ok(None),
+            Some(FrameV2::Oversized { len }) => {
+                Err(ClientError::Wire(WireError::Oversized { len }))
+            }
+            Some(FrameV2::Frame { opcode, payload }) => {
+                Ok(Some(decode_response_v2(opcode, &payload)?))
+            }
         }
     }
 }
@@ -347,11 +298,6 @@ impl ResponseRouter {
                 Ok(Some(id))
             }
         }
-    }
-
-    /// Number of completed requests not yet taken.
-    pub fn completed(&self) -> usize {
-        self.done.len()
     }
 
     /// Takes a completed result.

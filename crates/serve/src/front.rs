@@ -16,7 +16,7 @@ use crate::trace::{Stage, Tracer};
 use crate::wire::{
     decode_request, decode_request_v2, encode_response, encode_response_v2, read_frame,
     read_frame_v2, ErrorCode, Frame, FrameV2, Request, RequestBody, Response, ResponseBody,
-    WireVersion,
+    WireError,
 };
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -109,10 +109,6 @@ impl FrontState {
 pub(crate) struct Outbound {
     pub(crate) response: Response,
     pub(crate) trace: Option<u64>,
-    /// After writing this response the writer switches to v2 binary
-    /// frames. Set only on the `hello_ack` of an accepted handshake; the
-    /// channel's FIFO order makes the switch race-free.
-    pub(crate) upgrade: bool,
 }
 
 impl Outbound {
@@ -121,17 +117,12 @@ impl Outbound {
         Self {
             response,
             trace: None,
-            upgrade: false,
         }
     }
 
     /// A response answering a (possibly sampled) admitted request.
     pub(crate) fn traced(response: Response, trace: Option<u64>) -> Self {
-        Self {
-            response,
-            trace,
-            upgrade: false,
-        }
+        Self { response, trace }
     }
 }
 
@@ -177,13 +168,6 @@ pub(crate) trait FrontHandler: Send + Sync + 'static {
             code: ErrorCode::BadRequest,
             message: "this process has no shard tier to restart".into(),
         }
-    }
-
-    /// Whether this front accepts the `hello` upgrade to wire v2. The
-    /// default is yes; a process configured v1-only refuses the handshake
-    /// (and the refused client simply continues in v1).
-    fn wire_v2_enabled(&self) -> bool {
-        true
     }
 
     /// Takes one decoded request that is not a control kind: a
@@ -269,16 +253,33 @@ pub(crate) fn acceptor_loop<H: FrontHandler>(listener: TcpListener, shared: &Arc
     }
 }
 
-/// Turns an over-cap connection away with a single typed `busy` frame.
+/// Turns an over-cap connection away with a single text `busy` line in
+/// place of the `hello_ack`; dropping the stream closes it.
 fn reject_connection(stream: TcpStream, retry_after_ms: u64) {
-    let mut writer = BufWriter::new(stream);
-    if let Ok(frame) = encode_response(&Response {
-        id: 0,
-        body: ResponseBody::Busy { retry_after_ms },
-    }) {
-        let _ = writer.write_all(frame.as_bytes());
-        let _ = writer.write_all(b"\n");
-        let _ = writer.flush();
+    let _ = write_preface_reply(
+        &stream,
+        &Response {
+            id: 0,
+            body: ResponseBody::Busy { retry_after_ms },
+        },
+    );
+}
+
+/// Writes one text preface reply line (`hello_ack`, `error` or `busy`)
+/// straight to the socket.
+fn write_preface_reply(mut stream: &TcpStream, response: &Response) -> std::io::Result<()> {
+    let line = encode_response(response)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
+fn bad_request(id: u64, message: String) -> Response {
+    Response {
+        id,
+        body: ResponseBody::Error {
+            code: ErrorCode::BadRequest,
+            message,
+        },
     }
 }
 
@@ -341,20 +342,12 @@ fn spawn_connection<H: FrontHandler>(
     Ok([reader, writer])
 }
 
-/// Encodes one response in the connection's negotiated version, falling
-/// back to a typed internal error when the response itself is unencodable.
-/// The v1 bytes include the frame's trailing newline.
-fn encode_outbound(response: &Response, mode: WireVersion) -> Option<Vec<u8>> {
-    let encode = |response: &Response| match mode {
-        WireVersion::V1 => encode_response(response).map(|mut frame| {
-            frame.push('\n');
-            frame.into_bytes()
-        }),
-        WireVersion::V2 => encode_response_v2(response),
-    };
-    match encode(response) {
+/// Encodes one response frame, falling back to a typed internal error
+/// when the response itself is unencodable.
+fn encode_outbound(response: &Response) -> Option<Vec<u8>> {
+    match encode_response_v2(response) {
         Ok(bytes) => Some(bytes),
-        Err(e) => encode(&Response {
+        Err(e) => encode_response_v2(&Response {
             id: response.id,
             body: ResponseBody::Error {
                 code: ErrorCode::Internal,
@@ -367,18 +360,12 @@ fn encode_outbound(response: &Response, mode: WireVersion) -> Option<Vec<u8>> {
 
 fn writer_loop(stream: TcpStream, rx: Receiver<Outbound>, tracer: &Tracer) {
     let mut writer = BufWriter::new(stream);
-    let mut mode = WireVersion::V1;
     // Ends when every sender (reader + admitted requests) is gone; the
     // final write-shutdown sends FIN so clients draining the stream observe
     // EOF even while the shutdown registry still holds a clone.
-    while let Ok(Outbound {
-        response,
-        trace,
-        upgrade,
-    }) = rx.recv()
-    {
+    while let Ok(Outbound { response, trace }) = rx.recv() {
         let encode_start = trace.map(|_| Instant::now());
-        let Some(bytes) = encode_outbound(&response, mode) else {
+        let Some(bytes) = encode_outbound(&response) else {
             continue;
         };
         if let (Some(id), Some(start)) = (trace, encode_start) {
@@ -391,138 +378,87 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Outbound>, tracer: &Tracer) {
         if let (Some(id), Some(start)) = (trace, write_start) {
             tracer.record_since(id, Stage::Write, start);
         }
-        if upgrade {
-            // The hello_ack just went out in v1; everything after it is
-            // binary. Responses already queued behind the ack cannot exist
-            // because hello is only accepted as the connection's first
-            // frame.
-            mode = WireVersion::V2;
-        }
     }
     let _ = writer.get_ref().shutdown(Shutdown::Write);
 }
 
+/// Reads and answers the connection's text preface; `true` once both ends
+/// speak binary frames. Any first line but a `hello` naming version 2 is
+/// answered with one `bad_request` line, after which the connection
+/// closes. The reply goes straight onto the socket: nothing has been
+/// admitted yet, so the writer thread has nothing queued ahead of it.
+fn accept_preface(reader: &mut BufReader<TcpStream>) -> bool {
+    let request = match read_frame(reader) {
+        Ok(Some(Frame::Line(line))) => decode_request(&line),
+        Ok(Some(Frame::Oversized { len })) => Err(WireError::Oversized { len }),
+        Ok(None) | Err(_) => return false,
+    };
+    let (id, message) = match request {
+        Ok(Request {
+            id,
+            body: RequestBody::Hello { version: 2 },
+            ..
+        }) => {
+            let ack = Response {
+                id,
+                body: ResponseBody::HelloAck { version: 2 },
+            };
+            return write_preface_reply(reader.get_ref(), &ack).is_ok();
+        }
+        Ok(Request {
+            id,
+            body: RequestBody::Hello { version },
+            ..
+        }) => (
+            id,
+            format!("unsupported protocol version {version}; this server speaks 2"),
+        ),
+        Ok(request) => (request.id, "expected a `hello` line".to_string()),
+        Err(e) => (0, format!("expected a `hello` line naming version 2: {e}")),
+    };
+    // A detail echoing a pathological line may not fit one preface line.
+    if write_preface_reply(reader.get_ref(), &bad_request(id, message)).is_err() {
+        let _ = write_preface_reply(reader.get_ref(), &bad_request(id, "bad preface".into()));
+    }
+    false
+}
+
 fn reader_loop<H: FrontHandler>(stream: TcpStream, shared: &H, tx: Sender<Outbound>) {
     let mut reader = BufReader::new(stream);
-    let mut mode = WireVersion::V1;
-    // `hello` is only valid as the first decoded frame of the connection:
-    // that makes the post-ack codec switch race-free even with pipelining,
-    // because no response can be queued ahead of the ack.
-    let mut first_frame = true;
-    // Ends on EOF, a transport error, or a `shutdown` request.
+    if !accept_preface(&mut reader) {
+        return;
+    }
+    // Ends on EOF, a transport error, an oversized frame, or a `shutdown`
+    // request.
     loop {
-        let was_first = first_frame;
-        let request = match mode {
-            WireVersion::V1 => {
-                let Ok(Some(frame)) = read_frame(&mut reader) else {
-                    return;
-                };
-                let line = match frame {
-                    Frame::Line(line) => line,
-                    Frame::Oversized { len } => {
-                        first_frame = false;
-                        let _ = tx.send(Outbound::plain(Response {
-                            id: 0,
-                            body: ResponseBody::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!("frame of {len} bytes exceeds the limit"),
-                            },
-                        }));
-                        continue;
-                    }
-                };
-                if line.trim().is_empty() {
+        let Ok(Some(frame)) = read_frame_v2(&mut reader) else {
+            return;
+        };
+        let request = match frame {
+            FrameV2::Oversized { len } => {
+                // No delimiter to resync on: the connection cannot be
+                // re-framed past an oversized header, so answer and drop
+                // it.
+                let message = format!("frame of {len} bytes exceeds the limit");
+                let _ = tx.send(Outbound::plain(bad_request(0, message)));
+                return;
+            }
+            FrameV2::Frame { opcode, payload } => match decode_request_v2(opcode, &payload) {
+                Ok(request) => request,
+                Err(e) => {
+                    // The length prefix kept the stream framed, so
+                    // (unlike Oversized) the connection survives a bad
+                    // payload.
+                    let _ = tx.send(Outbound::plain(bad_request(0, e.to_string())));
                     continue;
                 }
-                first_frame = false;
-                match decode_request(&line) {
-                    Ok(request) => request,
-                    Err(e) => {
-                        let _ = tx.send(Outbound::plain(Response {
-                            id: 0,
-                            body: ResponseBody::Error {
-                                code: ErrorCode::BadRequest,
-                                message: e.to_string(),
-                            },
-                        }));
-                        continue;
-                    }
-                }
-            }
-            WireVersion::V2 => {
-                let Ok(Some(frame)) = read_frame_v2(&mut reader) else {
-                    return;
-                };
-                match frame {
-                    FrameV2::Oversized { len } => {
-                        // No newline to resync on: a binary connection
-                        // cannot be re-framed past an oversized header, so
-                        // answer and drop it.
-                        let _ = tx.send(Outbound::plain(Response {
-                            id: 0,
-                            body: ResponseBody::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!("frame of {len} bytes exceeds the limit"),
-                            },
-                        }));
-                        return;
-                    }
-                    FrameV2::Frame { opcode, payload } => {
-                        match decode_request_v2(opcode, &payload) {
-                            Ok(request) => request,
-                            Err(e) => {
-                                // The length prefix kept the stream framed,
-                                // so (unlike Oversized) the connection
-                                // survives a bad payload — same contract as
-                                // a malformed v1 line.
-                                let _ = tx.send(Outbound::plain(Response {
-                                    id: 0,
-                                    body: ResponseBody::Error {
-                                        code: ErrorCode::BadRequest,
-                                        message: e.to_string(),
-                                    },
-                                }));
-                                continue;
-                            }
-                        }
-                    }
-                }
-            }
+            },
         };
         let id = request.id;
         match request.body {
-            RequestBody::Hello { version } => {
-                let refusal = if !was_first {
-                    Some("hello must be the first frame of a connection")
-                } else if version != 2 {
-                    Some("unsupported protocol version")
-                } else if !shared.wire_v2_enabled() {
-                    Some("this server speaks wire v1 only")
-                } else {
-                    None
-                };
-                match refusal {
-                    Some(message) => {
-                        let _ = tx.send(Outbound::plain(Response {
-                            id,
-                            body: ResponseBody::Error {
-                                code: ErrorCode::BadRequest,
-                                message: message.into(),
-                            },
-                        }));
-                    }
-                    None => {
-                        let _ = tx.send(Outbound {
-                            response: Response {
-                                id,
-                                body: ResponseBody::HelloAck { version: 2 },
-                            },
-                            trace: None,
-                            upgrade: true,
-                        });
-                        mode = WireVersion::V2;
-                    }
-                }
+            RequestBody::Hello { .. } => {
+                let message = "hello is only valid as the connection's text preface";
+                let _ = tx.send(Outbound::plain(bad_request(id, message.into())));
             }
             RequestBody::Ping => {
                 let _ = tx.send(Outbound::plain(Response {

@@ -9,7 +9,7 @@
 //! streams per-clip outcomes back as they complete. The container this
 //! repository builds in is offline, so there is no tokio and no serde: the
 //! server is plain `std::net` + threads, and the wire format is the
-//! hand-rolled JSON-subset codec in [`wire`].
+//! hand-rolled binary codec in [`wire`].
 //!
 //! # Architecture
 //!
@@ -19,7 +19,7 @@
 //!  (camo-client)│     │          │ full → Busy{retry_after_ms}       (ServicePool)   │
 //!               │     │          ▼                                       │ coalesce  │
 //!               │     │        writer ◀───────── responses ──────────────┤ by config │
-//!               │     │     (per conn, newline-delimited, completion order)          │
+//!               │     │     (per conn, binary frames, completion order)              │
 //!               │     └ max_connections cap                  ContextCache (LRU)      │
 //!               └──────────────────────────────────────────────────────────────────┘
 //! ```
@@ -36,11 +36,10 @@
 //! results stay bit-identical. See `docs/ARCHITECTURE.md` for the full
 //! picture and `docs/WIRE_PROTOCOL.md` for the wire specification.
 //!
-//! * [`wire`] — the two codecs: the line-based JSON-subset v1 text
-//!   protocol every peer speaks, and the negotiated v2 binary framing
-//!   (length-prefixed little-endian frames, raw `f64` bit images, a
-//!   64 MiB frame bound for multi-clip batches) a connection upgrades to
-//!   via the `hello`/`hello_ack` handshake. Both: typed
+//! * [`wire`] — one codec: every connection opens with a one-line text
+//!   `hello` answered by a text `hello_ack`, and everything after it is
+//!   binary frames (length-prefixed little-endian, raw `f64` bit images,
+//!   a 64 MiB frame bound for multi-clip batches). Typed
 //!   requests/responses, strict validation, exact `f64` round-trips,
 //!   typed errors (never panics) for truncated/oversized/malformed
 //!   frames — and bit-identical served results.
@@ -120,4 +119,4 @@ pub use shard::{ShardSet, ShardSpec};
 pub use stats::{KindLatency, LatencySnapshot, MetricsReport, ShardStatus};
 pub use supervise::{Backoff, FlapBreaker, RespawnPolicy};
 pub use trace::{chrome_trace_json, FlightRecorder, ShardTrace, SpanRecord, TraceReport, Tracer};
-pub use wire::{Request, RequestBody, Response, ResponseBody, WireError, WireVersion};
+pub use wire::{Request, RequestBody, Response, ResponseBody, WireError};

@@ -75,6 +75,7 @@
 //!   [`RouterConfig::drain_timeout`]), then send each live shard a
 //!   `shutdown` request and reap the supervised processes.
 
+use crate::client::handshake;
 use crate::error::ServeError;
 use crate::exec::litho_spec;
 use crate::front::{acceptor_loop, AdmittedRequest, FrontHandler, FrontState, Outbound};
@@ -83,9 +84,8 @@ use crate::stats::{KindLatencies, MetricsReport, ShardStatus};
 use crate::supervise::{FlapBreaker, RespawnPolicy};
 use crate::trace::{ShardTrace, Stage, TraceReport, Tracer};
 use crate::wire::{
-    decode_response, decode_response_v2, encode_request_parts, encode_request_parts_v2, read_frame,
-    read_frame_v2, ErrorCode, Frame, FrameV2, RequestBody, Response, ResponseBody, WireError,
-    WireVersion,
+    decode_response_v2, encode_request_parts_v2, read_frame_v2, ErrorCode, FrameV2, RequestBody,
+    Response, ResponseBody,
 };
 use camo_runtime::{BoundedQueue, ServicePool};
 use std::collections::{BTreeMap, BTreeSet};
@@ -126,14 +126,6 @@ pub struct RouterConfig {
     /// requests carry their `trace_id` in the forwarded frame so the shard
     /// records spans under the same id.
     pub trace_sample: u64,
-    /// Highest wire version the client-facing front negotiates. Client
-    /// connections always start in v1; [`WireVersion::V2`] (the default)
-    /// accepts the `hello` upgrade, [`WireVersion::V1`] refuses it.
-    pub wire: WireVersion,
-    /// Highest wire version negotiated on the shard channels —
-    /// independent of what any client speaks: the router re-encodes every
-    /// forwarded request for its shard's negotiated version.
-    pub shard_wire: WireVersion,
 }
 
 impl Default for RouterConfig {
@@ -149,8 +141,6 @@ impl Default for RouterConfig {
             drain_timeout: Duration::from_secs(120),
             respawn: RespawnPolicy::default(),
             trace_sample: 0,
-            wire: WireVersion::V2,
-            shard_wire: WireVersion::V2,
         }
     }
 }
@@ -295,12 +285,6 @@ struct ShardLink {
     restarting: AtomicBool,
     /// Successful supervised respawns of this slot.
     respawns: AtomicUsize,
-    /// Whether this incarnation's channel negotiated wire v2. Written
-    /// before `alive` flips true (no forwarder can observe the channel
-    /// mid-negotiation) and consulted — together with the epoch — on every
-    /// forward, so a respawned incarnation that negotiated differently can
-    /// never receive bytes encoded for its predecessor.
-    wire_v2: AtomicBool,
     writer: Mutex<Option<BufWriter<TcpStream>>>, // lock-order: 62
     /// A clone used to shut the channel down so the shard reader unblocks.
     stream: Mutex<Option<TcpStream>>, // lock-order: 60
@@ -501,10 +485,6 @@ impl FrontHandler for RouterShared {
         ResponseBody::Trace(report)
     }
 
-    fn wire_v2_enabled(&self) -> bool {
-        self.config.wire == WireVersion::V2
-    }
-
     fn restart(&self, shard: Option<usize>) -> ResponseBody {
         if !self.supervised {
             return ResponseBody::Error {
@@ -571,18 +551,19 @@ fn pull_shard_trace(addr: SocketAddr) -> Option<TraceReport> {
     let stream = TcpStream::connect_timeout(&addr, timeout).ok()?;
     stream.set_read_timeout(Some(timeout)).ok()?;
     stream.set_write_timeout(Some(timeout)).ok()?;
-    let frame = encode_request_parts(1, &RequestBody::Trace, None).ok()?;
     let mut writer = BufWriter::new(stream.try_clone().ok()?);
-    writer.write_all(frame.as_bytes()).ok()?;
-    writer.write_all(b"\n").ok()?;
-    writer.flush().ok()?;
     let mut reader = BufReader::new(stream);
-    match read_frame(&mut reader).ok()?? {
-        Frame::Line(line) => match decode_response(&line).ok()?.body {
+    handshake(&mut writer, &mut reader, 1).ok()?;
+    let frame = encode_request_parts_v2(2, &RequestBody::Trace, None).ok()?;
+    writer.write_all(&frame).ok()?;
+    writer.flush().ok()?;
+    match read_frame_v2(&mut reader).ok()?? {
+        FrameV2::Frame { opcode, payload } => match decode_response_v2(opcode, &payload).ok()?.body
+        {
             ResponseBody::Trace(report) => Some(report),
             _ => None,
         },
-        Frame::Oversized { .. } => None,
+        FrameV2::Oversized { .. } => None,
     }
 }
 
@@ -636,7 +617,6 @@ fn start(
             benched: AtomicBool::new(false),
             restarting: AtomicBool::new(false),
             respawns: AtomicUsize::new(0),
-            wire_v2: AtomicBool::new(false),
             writer: Mutex::new(None),
             stream: Mutex::new(None),
             forwarded: AtomicUsize::new(0),
@@ -814,10 +794,10 @@ fn fail_start(
     ServeError::Spawn { what, source }
 }
 
-/// Connects one shard channel, negotiates the shard-side wire version,
-/// bumps the link epoch and spawns its reader (registered in the shared
-/// reader list); `false` — and a dead link — when the shard is
-/// unreachable.
+/// Connects one shard channel, performs its `hello` preface, bumps the
+/// link epoch and spawns its reader (registered in the shared reader
+/// list); `false` — and a dead link — when the shard is unreachable or
+/// refuses the preface.
 fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
     let link = &shared.links[index];
     let Ok(stream) = TcpStream::connect(link.addr()) else {
@@ -831,15 +811,20 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
     let Ok(closer) = stream.try_clone() else {
         return false;
     };
-    // Negotiate BEFORE the link goes live: no forwarder can write a data
-    // frame ahead of the hello (the shard only accepts it as the
-    // connection's first frame), and the `wire_v2` flag is already settled
-    // by the time `alive` flips true. The reader created here is handed to
-    // the reader thread afterwards so any bytes it buffered survive.
+    // Handshake BEFORE the link goes live: no forwarder can write a binary
+    // frame ahead of the preface. The reader created here is handed to the
+    // reader thread afterwards so any bytes it buffered survive. The wait
+    // is bounded: a shard that never answers must not wedge connect (the
+    // probe plane would otherwise catch it only much later).
     let mut writer = BufWriter::new(stream);
     let mut reader = BufReader::new(read_half);
-    let v2 = shared.config.shard_wire == WireVersion::V2
-        && negotiate_shard_v2(shared, &mut writer, &mut reader);
+    let _ = reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)));
+    if handshake(&mut writer, &mut reader, shared.fresh_id()).is_err() {
+        return false;
+    }
+    let _ = reader.get_ref().set_read_timeout(None);
     let epoch = {
         // The transition lock orders this against a concurrent fail_shard:
         // whoever holds it sees a consistent (alive, epoch, channel) triple.
@@ -848,7 +833,6 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
         link.epoch.store(epoch, Ordering::SeqCst);
         *link.stream.lock().unwrap_or_else(PoisonError::into_inner) = Some(closer);
         *link.writer.lock().unwrap_or_else(PoisonError::into_inner) = Some(writer);
-        link.wire_v2.store(v2, Ordering::SeqCst);
         link.alive.store(true, Ordering::SeqCst);
         epoch
     };
@@ -856,7 +840,7 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name(format!("camo-router-shard-{index}"))
-            .spawn(move || shard_reader_loop(&shared, index, epoch, reader, v2))
+            .spawn(move || shard_reader_loop(&shared, index, epoch, reader))
     };
     match reader_thread {
         Ok(handle) => {
@@ -870,44 +854,6 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
             false
         }
     }
-}
-
-/// Sends the v1 `hello` on a freshly connected (not yet live) shard
-/// channel and waits briefly for the verdict. `true` only on an explicit
-/// `hello_ack`; a refusal, timeout or transport error keeps the channel on
-/// v1 (a late ack would surface as an unknown-id frame and be dropped).
-fn negotiate_shard_v2(
-    shared: &RouterShared,
-    writer: &mut BufWriter<TcpStream>,
-    reader: &mut BufReader<TcpStream>,
-) -> bool {
-    let hello_id = shared.fresh_id();
-    let Ok(frame) = encode_request_parts(hello_id, &RequestBody::Hello { version: 2 }, None) else {
-        return false;
-    };
-    if writer.write_all(frame.as_bytes()).is_err()
-        || writer.write_all(b"\n").is_err()
-        || writer.flush().is_err()
-    {
-        return false;
-    }
-    // Bound the wait: a shard that never answers must not wedge connect
-    // (the probe plane would otherwise catch it only much later).
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_secs(5)));
-    let upgraded = match read_frame(reader) {
-        Ok(Some(Frame::Line(line))) => matches!(
-            decode_response(&line),
-            Ok(Response {
-                id,
-                body: ResponseBody::HelloAck { .. },
-            }) if id == hello_id
-        ),
-        _ => false,
-    };
-    let _ = reader.get_ref().set_read_timeout(None);
-    upgraded
 }
 
 // ---------------------------------------------------------------------------
@@ -968,9 +914,15 @@ fn send_to_shard(shared: &RouterShared, router_id: u64) {
         .map(|spec| spec.to_config().fingerprint())
         .unwrap_or(0);
     let preference = shard_preference(fingerprint, shared.links.len());
-    // Encoded lazily per shard wire version and cached: every retry of the
-    // loop below reuses the bytes for whichever version its shard speaks.
-    let mut encoded: [Option<Vec<u8>>; 2] = [None, None];
+    let frame = match encode_request_parts_v2(router_id, &body, trace) {
+        Ok(frame) => frame,
+        Err(e) => {
+            if let Some(entry) = shared.lock_inflight().remove(&router_id) {
+                fail_entry(shared, entry, &format!("unforwardable request: {e}"));
+            }
+            return;
+        }
+    };
     loop {
         let shard = {
             let mut inflight = shared.lock_inflight();
@@ -1004,29 +956,13 @@ fn send_to_shard(shared: &RouterShared, router_id: u64) {
             entry.attempts += 1;
             shard
         };
-        // Capture the epoch before the wire flag and before the write: if
-        // the shard is respawned in between, the stale epoch makes the
-        // write refuse (it checks under the writer lock) and the fail a
-        // no-op, so the loop simply retries with fresh state.
+        // Capture the epoch before the write: if the shard is respawned in
+        // between, the stale epoch makes the write refuse (it checks under
+        // the writer lock) and the fail a no-op, so the loop simply retries
+        // with fresh state.
         let epoch = shared.links[shard].epoch.load(Ordering::SeqCst);
-        let v2 = shared.links[shard].wire_v2.load(Ordering::SeqCst);
-        let frame = match &mut encoded[usize::from(v2)] {
-            Some(frame) => &*frame,
-            slot => {
-                let wire = if v2 { WireVersion::V2 } else { WireVersion::V1 };
-                match encode_shard_frame(router_id, &body, trace, wire) {
-                    Ok(frame) => &*slot.insert(frame),
-                    Err(e) => {
-                        if let Some(entry) = shared.lock_inflight().remove(&router_id) {
-                            fail_entry(shared, entry, &format!("unforwardable request: {e}"));
-                        }
-                        return;
-                    }
-                }
-            }
-        };
         let forward_start = trace.map(|_| Instant::now());
-        if write_to_shard(shared, shard, epoch, frame) {
+        if write_to_shard(shared, shard, epoch, &frame) {
             shared.links[shard]
                 .forwarded
                 .fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
@@ -1045,23 +981,6 @@ fn send_to_shard(shared: &RouterShared, router_id: u64) {
     }
 }
 
-/// Encodes one forwarded frame for a shard channel's negotiated version
-/// (v1 frames carry their newline so both variants are write-ready bytes).
-fn encode_shard_frame(
-    id: u64,
-    body: &RequestBody,
-    trace: Option<u64>,
-    wire: WireVersion,
-) -> Result<Vec<u8>, WireError> {
-    match wire {
-        WireVersion::V1 => encode_request_parts(id, body, trace).map(|mut frame| {
-            frame.push('\n');
-            frame.into_bytes()
-        }),
-        WireVersion::V2 => encode_request_parts_v2(id, body, trace),
-    }
-}
-
 /// Writes one pre-encoded frame to a shard channel; false when the channel
 /// is down or no longer the incarnation the bytes were encoded for.
 fn write_to_shard(shared: &RouterShared, shard: usize, epoch: usize, frame: &[u8]) -> bool {
@@ -1072,9 +991,9 @@ fn write_to_shard(shared: &RouterShared, shard: usize, epoch: usize, frame: &[u8
     // The writer lock IS the shard channel: holding it across the write
     // serialises concurrent forwarders onto one socket, and the stream's
     // 10s write timeout keeps a wedged shard from pinning it. The epoch
-    // check under the lock closes the respawn race — bytes encoded for one
-    // incarnation's wire version never reach a successor that may have
-    // negotiated differently.
+    // check under the lock closes the respawn race — bytes meant for one
+    // incarnation (a probe, a restart's shutdown) never reach its
+    // successor.
     // io-ok: serialising the socket is this lock's entire purpose.
     let mut writer = link.writer.lock().unwrap_or_else(PoisonError::into_inner);
     if link.epoch.load(Ordering::SeqCst) != epoch {
@@ -1178,34 +1097,18 @@ fn shard_reader_loop(
     shard: usize,
     epoch: usize,
     mut reader: BufReader<TcpStream>,
-    v2: bool,
 ) {
     // Ends on EOF, a transport error, or an oversized frame — the channel
     // is unusable either way — and on the protocol violations below.
-    if v2 {
-        while let Ok(Some(FrameV2::Frame { opcode, payload })) = read_frame_v2(&mut reader) {
-            let response = match decode_response_v2(opcode, &payload) {
-                Ok(response) => response,
-                // A backend speaking garbage is a protocol violation, not
-                // a client error: fail the shard, recompute elsewhere.
-                Err(_) => break,
-            };
-            if !handle_shard_response(shared, shard, response) {
-                break;
-            }
-        }
-    } else {
-        while let Ok(Some(Frame::Line(line))) = read_frame(&mut reader) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = match decode_response(&line) {
-                Ok(response) => response,
-                Err(_) => break,
-            };
-            if !handle_shard_response(shared, shard, response) {
-                break;
-            }
+    while let Ok(Some(FrameV2::Frame { opcode, payload })) = read_frame_v2(&mut reader) {
+        let response = match decode_response_v2(opcode, &payload) {
+            Ok(response) => response,
+            // A backend speaking garbage is a protocol violation, not a
+            // client error: fail the shard, recompute elsewhere.
+            Err(_) => break,
+        };
+        if !handle_shard_response(shared, shard, response) {
+            break;
         }
     }
     // Carries this incarnation's epoch: if the shard has already been
@@ -1385,12 +1288,7 @@ fn prober_loop(shared: &Arc<RouterShared>) {
             // self-report (queue depth, in-flight, counters) in one
             // round-trip, cached on the link for the router's own report.
             let id = shared.fresh_id();
-            let wire = if link.wire_v2.load(Ordering::SeqCst) {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
-            let frame = match encode_shard_frame(id, &RequestBody::Metrics, None, wire) {
+            let frame = match encode_request_parts_v2(id, &RequestBody::Metrics, None) {
                 Ok(frame) => frame,
                 Err(_) => continue,
             };
@@ -1517,12 +1415,7 @@ fn restart_one(shared: &Arc<RouterShared>, shard: usize) -> io::Result<()> {
             // and new work routes around the hole.
             let id = shared.fresh_id();
             let epoch = link.epoch.load(Ordering::SeqCst);
-            let wire = if link.wire_v2.load(Ordering::SeqCst) {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
-            if let Ok(frame) = encode_shard_frame(id, &RequestBody::Shutdown, None, wire) {
+            if let Ok(frame) = encode_request_parts_v2(id, &RequestBody::Shutdown, None) {
                 let _ = write_to_shard(shared, shard, epoch, &frame);
             }
             fail_shard_now(shared, shard);
@@ -1704,12 +1597,7 @@ impl RouterHandle {
             }
             let id = self.shared.fresh_id();
             let epoch = link.epoch.load(Ordering::SeqCst);
-            let wire = if link.wire_v2.load(Ordering::SeqCst) {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
-            if let Ok(frame) = encode_shard_frame(id, &RequestBody::Shutdown, None, wire) {
+            if let Ok(frame) = encode_request_parts_v2(id, &RequestBody::Shutdown, None) {
                 let _ = write_to_shard(&self.shared, shard, epoch, &frame);
             }
         }

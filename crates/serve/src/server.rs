@@ -13,8 +13,9 @@
 //!
 //! * The **acceptor** owns the listener (non-blocking, so shutdown is
 //!   prompt) and enforces `max_connections` — excess connections receive a
-//!   single `busy` frame and are closed.
-//! * Each connection's **reader** decodes frames and `try_push`es them into
+//!   single text `busy` line in place of the `hello_ack` and are closed.
+//! * Each connection's **reader** answers the text `hello` preface, then
+//!   decodes binary frames and `try_push`es them into
 //!   the shared [`BoundedQueue`]. A full queue is answered *immediately*
 //!   with a typed [`ResponseBody::Busy`] rejection carrying a retry hint —
 //!   the reader never blocks, never drops a request silently.
@@ -25,7 +26,7 @@
 //!   threads. Simulators come from a shared [`ContextCache`], so every
 //!   request under one process configuration shares one immutable
 //!   [`camo_litho::LithoContext`] and one workspace pool.
-//! * Each connection's **writer** streams newline-delimited responses in
+//! * Each connection's **writer** streams binary response frames in
 //!   completion order; clients correlate by request id.
 //!
 //! # Shutdown
@@ -44,7 +45,7 @@ use crate::exec::{
 use crate::front::{acceptor_loop, AdmittedRequest, FrontHandler, FrontState, Outbound};
 use crate::stats::{KindLatencies, MetricsReport};
 use crate::trace::{RecorderSink, Stage, Tracer};
-use crate::wire::{ErrorCode, RequestBody, Response, ResponseBody, WireVersion};
+use crate::wire::{ErrorCode, RequestBody, Response, ResponseBody};
 use camo_litho::{ContextCache, LithoConfig, LithoSimulator};
 use camo_runtime::{BoundedQueue, ServicePool};
 use std::collections::VecDeque;
@@ -81,11 +82,6 @@ pub struct ServerConfig {
     /// the litho pipeline gets a no-op sink and admission skips even the
     /// sampling counter's modulo).
     pub trace_sample: u64,
-    /// Highest wire version this server negotiates. Connections always
-    /// start in v1; with [`WireVersion::V2`] (the default) a client `hello`
-    /// upgrades the connection to the binary framing, while
-    /// [`WireVersion::V1`] refuses the handshake so every frame stays text.
-    pub wire: WireVersion,
 }
 
 impl Default for ServerConfig {
@@ -100,7 +96,6 @@ impl Default for ServerConfig {
             context_capacity: 4,
             coalesce_limit: 16,
             trace_sample: 0,
-            wire: WireVersion::V2,
         }
     }
 }
@@ -205,10 +200,6 @@ impl FrontHandler for Shared {
 
     fn trace(&self) -> ResponseBody {
         ResponseBody::Trace(self.tracer.report("server"))
-    }
-
-    fn wire_v2_enabled(&self) -> bool {
-        self.config.wire == WireVersion::V2
     }
 }
 

@@ -192,11 +192,6 @@ impl ShardSet {
         Ok(())
     }
 
-    /// True while the shard process has not been reaped as exited.
-    pub fn is_running(&mut self, index: usize) -> io::Result<bool> {
-        Ok(self.shards[index].child.try_wait()?.is_none())
-    }
-
     /// Replaces shard `index` with a fresh process launched from the stored
     /// spec, returning the new incarnation's bound address.
     ///

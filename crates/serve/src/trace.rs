@@ -9,7 +9,7 @@
 //! *flight recorder*: it never blocks the request path, never allocates
 //! after construction, and overwrites the oldest spans when full, so the
 //! recent history of a misbehaving process is always pullable on demand via
-//! the `trace` wire request (see `docs/WIRE_PROTOCOL.md` §4.9).
+//! the `trace` wire request (see `trace` in `docs/WIRE_PROTOCOL.md`).
 //!
 //! The litho pipeline itself stays clock-free (camo-lint `determinism`):
 //! it only announces stage boundaries through the injected

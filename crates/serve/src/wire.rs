@@ -1,35 +1,31 @@
-//! The wire protocol: the typed request/response schema plus two codecs —
-//! the v1 line-based JSON subset every peer speaks, and the negotiated v2
-//! little-endian binary framing for mask-scale payloads.
+//! The wire protocol: the typed request/response schema, the one-line text
+//! preface every connection opens with, and the little-endian binary
+//! framing (wire v2) everything after the preface travels in.
 //!
 //! The build environment is offline (no `serde`), so this module vendors
-//! exactly what the protocol needs and nothing more. In **v1** one frame is
-//! one line of UTF-8 ending in `\n`, holding one JSON value; frames longer
-//! than [`MAX_FRAME`] bytes are rejected before parsing. The value grammar
-//! is a strict JSON subset:
+//! exactly what the protocol needs and nothing more. A connection opens
+//! with one newline-terminated text line from the client, a `hello` naming
+//! protocol version 2. The server answers with one text line: `hello_ack`,
+//! after which both directions speak binary frames, or a `bad_request`
+//! `error` (any other first line) or a `busy` (a connection over the cap),
+//! after which it closes the connection. Those four messages are the only
+//! text on the wire: [`encode_request`]/[`decode_request`] and
+//! [`encode_response`]/[`decode_response`] carry them and refuse every
+//! other kind. A preface line is one flat JSON object whose values are
+//! integers or strings (escapes `\" \\ \/ \n \r \t` only), at most
+//! [`MAX_FRAME`] bytes.
 //!
-//! * objects, arrays, strings, booleans, `null`;
-//! * numbers split into exact [`Value::Int`] (no `.`/exponent, fits `i64`)
-//!   and [`Value::Float`] — integer coordinates and segment offsets
-//!   round-trip exactly, and floats are emitted with Rust's shortest
-//!   round-trip formatting so EPE/PV-band values survive the wire **bit for
-//!   bit** (the end-to-end tests diff server results against offline runs
-//!   with `f64::to_bits`);
-//! * string escapes `\" \\ \/ \n \r \t` only (no `\u`), no raw control
-//!   bytes; non-finite floats are unencodable.
+//! Every later frame is `[u32 payload_len][u8 opcode][payload]` with raw
+//! little-endian fields — `f64` arrays travel as their `to_bits` images, so
+//! served EPE/PV-band values reach the client **bit for bit** (the
+//! end-to-end tests diff server results against offline runs with
+//! `f64::to_bits`) and the hot path is a bounds-checked memcpy.
 //!
-//! **v2** frames the same schema as `[u32 payload_len][u8 opcode][payload]`
-//! with raw little-endian fields — `f64` arrays travel as their `to_bits`
-//! images, so the hot path is a bounds-checked memcpy instead of decimal
-//! formatting. Connections always start in v1; a `hello` request (the
-//! first frame of a connection) negotiates the upgrade, and any refusal
-//! leaves the connection in v1, which is how old peers keep working.
-//!
-//! Decoding is strict in both codecs: unknown object fields, duplicate
-//! fields, trailing garbage, oversized frames and truncated values are all
-//! typed [`WireError`]s, never panics — property-tested against mutated
-//! and random frames in `tests/wire_properties.rs`, and differentially
-//! (v1 vs v2 vs identity) in `tests/codec_differential.rs`.
+//! Decoding is strict: unknown or duplicate fields, trailing bytes,
+//! oversized frames and truncated values are all typed [`WireError`]s,
+//! never panics — property-tested against mutated and random input in
+//! `tests/wire_properties.rs` (the preface) and
+//! `tests/codec_differential.rs` (the binary frames).
 
 use crate::stats::{KindLatency, LatencySnapshot, MetricsReport, ShardStatus};
 use crate::trace::{ShardTrace, SpanRecord, TraceReport};
@@ -38,11 +34,10 @@ use camo_litho::LithoConfig;
 use camo_workloads::LayoutParams;
 use std::fmt;
 
-/// Maximum frame length in bytes (the newline excluded).
-pub const MAX_FRAME: usize = 1 << 20;
-
-/// Maximum nesting depth a frame may use.
-const MAX_DEPTH: usize = 16;
+/// Maximum length of a text preface line in bytes (the newline excluded).
+/// A preface line is a few dozen bytes; the bound caps what a peer can make
+/// a reader buffer before the handshake.
+pub const MAX_FRAME: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -51,14 +46,16 @@ const MAX_DEPTH: usize = 16;
 /// Every way a frame can fail to decode (or a value fail to encode).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The frame exceeds [`MAX_FRAME`] bytes.
+    /// The frame exceeds its size bound ([`MAX_FRAME`] for a preface line,
+    /// [`MAX_FRAME_V2`] for a binary payload).
     Oversized {
         /// Observed length in bytes.
         len: usize,
     },
-    /// The frame ended in the middle of a value (truncated line).
+    /// The frame ended in the middle of a value (truncated line or
+    /// payload).
     Truncated,
-    /// A structural error at byte offset `at`.
+    /// A structural error in a preface line at byte offset `at`.
     Syntax {
         /// Byte offset of the offending input.
         at: usize,
@@ -70,29 +67,31 @@ pub enum WireError {
         /// Byte offset of the backslash.
         at: usize,
     },
-    /// A malformed or out-of-range number at byte offset `at`.
+    /// A malformed or out-of-range integer at byte offset `at`.
     BadNumber {
         /// Byte offset of the number's first byte.
         at: usize,
     },
-    /// Nesting deeper than the supported maximum.
+    /// A nested object or array in a preface line, whose grammar is one
+    /// flat object.
     TooDeep,
-    /// The value parsed but does not match the typed schema.
+    /// The frame parsed but does not match the typed schema.
     Schema(String),
-    /// The value cannot be represented on the wire (non-finite float,
-    /// control character in a string).
+    /// The value cannot be represented on the wire (an integer beyond
+    /// `i64`, a control character in a preface string, a kind the text
+    /// preface does not carry).
     Unencodable(&'static str),
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Oversized { len } => write!(f, "frame of {len} bytes exceeds {MAX_FRAME}"),
+            Self::Oversized { len } => write!(f, "frame of {len} bytes exceeds the frame limit"),
             Self::Truncated => write!(f, "frame truncated mid-value"),
             Self::Syntax { at, what } => write!(f, "syntax error at byte {at}: {what}"),
             Self::BadEscape { at } => write!(f, "bad string escape at byte {at}"),
             Self::BadNumber { at } => write!(f, "bad number at byte {at}"),
-            Self::TooDeep => write!(f, "nesting exceeds depth {MAX_DEPTH}"),
+            Self::TooDeep => write!(f, "nested value in a flat preface line"),
             Self::Schema(what) => write!(f, "schema error: {what}"),
             Self::Unencodable(what) => write!(f, "unencodable value: {what}"),
         }
@@ -102,525 +101,11 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Values
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON-subset value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An exact integer (no decimal point or exponent on the wire).
-    Int(i64),
-    /// A finite double, round-tripped exactly.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object (insertion-ordered; duplicate keys are a decode error).
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Self::Null => "null",
-            Self::Bool(_) => "bool",
-            Self::Int(_) => "int",
-            Self::Float(_) => "float",
-            Self::Str(_) => "string",
-            Self::Arr(_) => "array",
-            Self::Obj(_) => "object",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Self {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, byte: u8, what: &'static str) -> Result<(), WireError> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(_) => Err(WireError::Syntax { at: self.pos, what }),
-            None => Err(WireError::Truncated),
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Value, WireError> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        self.skip_ws();
-        match self.peek() {
-            None => Err(WireError::Truncated),
-            Some(b'{') => self.parse_object(depth),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(_) => Err(WireError::Syntax {
-                at: self.pos,
-                what: "expected a value",
-            }),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &'static str, value: Value) -> Result<Value, WireError> {
-        let end = self.pos + word.len();
-        if end > self.bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        if &self.bytes[self.pos..end] == word.as_bytes() {
-            self.pos = end;
-            Ok(value)
-        } else {
-            Err(WireError::Syntax {
-                at: self.pos,
-                what: "expected a keyword",
-            })
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, WireError> {
-        self.expect_byte(b'{', "expected '{'")?;
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key_at = self.pos;
-            let key = self.parse_string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(WireError::Syntax {
-                    at: key_at,
-                    what: "duplicate object key",
-                });
-            }
-            self.skip_ws();
-            self.expect_byte(b':', "expected ':'")?;
-            let value = self.parse_value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                Some(_) => {
-                    return Err(WireError::Syntax {
-                        at: self.pos,
-                        what: "expected ',' or '}'",
-                    })
-                }
-                None => return Err(WireError::Truncated),
-            }
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, WireError> {
-        self.expect_byte(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                Some(_) => {
-                    return Err(WireError::Syntax {
-                        at: self.pos,
-                        what: "expected ',' or ']'",
-                    })
-                }
-                None => return Err(WireError::Truncated),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, WireError> {
-        self.expect_byte(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(WireError::Truncated),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let at = self.pos;
-                    self.pos += 1;
-                    let escaped = self.peek().ok_or(WireError::Truncated)?;
-                    let ch = match escaped {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        _ => return Err(WireError::BadEscape { at }),
-                    };
-                    out.push(ch);
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(WireError::Syntax {
-                        at: self.pos,
-                        what: "raw control byte in string",
-                    })
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid; find the char covering pos).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| WireError::Syntax {
-                        at: self.pos,
-                        what: "invalid utf-8",
-                    })?;
-                    let ch = s.chars().next().ok_or(WireError::Truncated)?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, WireError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| WireError::BadNumber { at: start })?;
-        if float {
-            let v: f64 = text
-                .parse()
-                .map_err(|_| WireError::BadNumber { at: start })?;
-            if !v.is_finite() {
-                return Err(WireError::BadNumber { at: start });
-            }
-            Ok(Value::Float(v))
-        } else {
-            let v: i64 = text
-                .parse()
-                .map_err(|_| WireError::BadNumber { at: start })?;
-            Ok(Value::Int(v))
-        }
-    }
-}
-
-/// Parses one frame (without its trailing newline) into a [`Value`].
-pub fn parse_value(frame: &str) -> Result<Value, WireError> {
-    if frame.len() > MAX_FRAME {
-        return Err(WireError::Oversized { len: frame.len() });
-    }
-    let mut p = Parser::new(frame);
-    let value = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::Syntax {
-            at: p.pos,
-            what: "trailing bytes after value",
-        });
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Serializer
-// ---------------------------------------------------------------------------
-
-/// Serializes a [`Value`] into one frame (no trailing newline).
-pub fn write_value(value: &Value, out: &mut String) -> Result<(), WireError> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            out.push_str(&i.to_string());
-        }
-        Value::Float(v) => {
-            if !v.is_finite() {
-                return Err(WireError::Unencodable("non-finite float"));
-            }
-            // Rust's shortest round-trip formatting: parses back to the
-            // identical bits. Normalise the integral form to carry a '.' so
-            // decoding stays in the Float variant.
-            let s = format!("{v:?}");
-            out.push_str(&s);
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Value::Str(s) => write_string(s, out)?,
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out)?;
-                out.push(':');
-                write_value(item, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_string(s: &str, out: &mut String) -> Result<(), WireError> {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                return Err(WireError::Unencodable("control character in string"))
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Schema helpers
-// ---------------------------------------------------------------------------
-
-/// A strict object view: every field must be consumed exactly once.
-struct ObjView<'a> {
-    fields: &'a [(String, Value)],
-    taken: Vec<bool>,
-}
-
-impl<'a> ObjView<'a> {
-    fn new(value: &'a Value, what: &str) -> Result<Self, WireError> {
-        match value {
-            Value::Obj(fields) => Ok(Self {
-                fields,
-                taken: vec![false; fields.len()],
-            }),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected object, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Result<&'a Value, WireError> {
-        self.take_opt(key)?
-            .ok_or_else(|| WireError::Schema(format!("missing field '{key}'")))
-    }
-
-    fn take_opt(&mut self, key: &str) -> Result<Option<&'a Value>, WireError> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == key {
-                self.taken[i] = true;
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.taken[i] {
-                return Err(WireError::Schema(format!("unknown field '{k}'")));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn as_i64(value: &Value, what: &str) -> Result<i64, WireError> {
-    match value {
-        Value::Int(i) => Ok(*i),
-        other => Err(WireError::Schema(format!(
-            "{what}: expected int, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_u64(value: &Value, what: &str) -> Result<u64, WireError> {
-    let i = as_i64(value, what)?;
-    u64::try_from(i).map_err(|_| WireError::Schema(format!("{what}: expected non-negative int")))
-}
-
-fn as_usize(value: &Value, what: &str) -> Result<usize, WireError> {
-    let i = as_i64(value, what)?;
-    usize::try_from(i).map_err(|_| WireError::Schema(format!("{what}: expected non-negative int")))
-}
-
-fn as_f64(value: &Value, what: &str) -> Result<f64, WireError> {
-    match value {
-        Value::Float(v) => Ok(*v),
-        // Integral floats may arrive as Int (e.g. an EPE of exactly 40).
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(WireError::Schema(format!(
-            "{what}: expected number, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_str<'a>(value: &'a Value, what: &str) -> Result<&'a str, WireError> {
-    match value {
-        Value::Str(s) => Ok(s),
-        other => Err(WireError::Schema(format!(
-            "{what}: expected string, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_bool(value: &Value, what: &str) -> Result<bool, WireError> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(WireError::Schema(format!(
-            "{what}: expected bool, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_arr<'a>(value: &'a Value, what: &str) -> Result<&'a [Value], WireError> {
-    match value {
-        Value::Arr(items) => Ok(items),
-        other => Err(WireError::Schema(format!(
-            "{what}: expected array, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn i64_vec(value: &Value, what: &str) -> Result<Vec<i64>, WireError> {
-    as_arr(value, what)?
-        .iter()
-        .map(|v| as_i64(v, what))
-        .collect()
-}
-
-fn f64_vec(value: &Value, what: &str) -> Result<Vec<f64>, WireError> {
-    as_arr(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what))
-        .collect()
-}
-
-fn float_arr(values: &[f64]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::Float(v)).collect())
-}
-
-fn int_arr(values: &[i64]) -> Value {
-    Value::Arr(values.iter().map(|&v| Value::Int(v)).collect())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Wire integers are `i64`; a `u64` field (ids, seeds) must fit, or encode
-/// fails typed instead of silently wrapping to a negative number the
-/// decoder would reject.
-fn u64_value(v: u64) -> Result<Value, WireError> {
-    i64::try_from(v)
-        .map(Value::Int)
-        .map_err(|_| WireError::Unencodable("u64 exceeds i64 on the wire"))
-}
-
-// ---------------------------------------------------------------------------
 // Geometry schema
 // ---------------------------------------------------------------------------
 
-fn rect_to_value(rect: Rect) -> Value {
-    int_arr(&[rect.x0, rect.y0, rect.x1, rect.y1])
-}
-
-fn rect_from_value(value: &Value, what: &str) -> Result<Rect, WireError> {
-    let v = i64_vec(value, what)?;
-    if v.len() != 4 {
-        return Err(WireError::Schema(format!("{what}: expected [x0,y0,x1,y1]")));
-    }
-    rect_checked(v[0], v[1], v[2], v[3], what)
-}
-
-/// Shared validation for both codecs: rejects what [`Rect::new`] would
-/// assert on, so hostile frames surface as typed errors instead of panics.
+/// Rejects what [`Rect::new`] would assert on, so hostile frames surface as
+/// typed errors instead of panics.
 fn rect_checked(x0: i64, y0: i64, x1: i64, y1: i64, what: &str) -> Result<Rect, WireError> {
     if x0 >= x1 || y0 >= y1 {
         return Err(WireError::Schema(format!("{what}: degenerate rectangle")));
@@ -628,28 +113,8 @@ fn rect_checked(x0: i64, y0: i64, x1: i64, y1: i64, what: &str) -> Result<Rect, 
     Ok(Rect::new(x0, y0, x1, y1))
 }
 
-fn polygon_to_value(poly: &Polygon) -> Value {
-    let mut flat = Vec::with_capacity(poly.vertices().len() * 2);
-    for p in poly.vertices() {
-        flat.push(p.x);
-        flat.push(p.y);
-    }
-    int_arr(&flat)
-}
-
-fn polygon_from_value(value: &Value, what: &str) -> Result<Polygon, WireError> {
-    let flat = i64_vec(value, what)?;
-    if flat.len() < 8 || flat.len() % 2 != 0 {
-        return Err(WireError::Schema(format!(
-            "{what}: expected a flat [x,y,...] loop of at least 4 vertices"
-        )));
-    }
-    let points: Vec<Point> = flat.chunks(2).map(|c| Point::new(c[0], c[1])).collect();
-    polygon_from_points(points, what)
-}
-
-/// Shared validation for both codecs: rejects what [`Polygon::new`] would
-/// assert on, so hostile frames surface as typed errors instead of panics.
+/// Rejects what [`Polygon::new`] would assert on, so hostile frames surface
+/// as typed errors instead of panics.
 fn polygon_from_points(points: Vec<Point>, what: &str) -> Result<Polygon, WireError> {
     if points.len() < 4 {
         return Err(WireError::Schema(format!(
@@ -671,41 +136,6 @@ fn polygon_from_points(points: Vec<Point>, what: &str) -> Result<Polygon, WireEr
         }
     }
     Ok(Polygon::new(points))
-}
-
-/// Serializes a clip (region, name, targets, SRAFs).
-pub fn clip_to_value(clip: &Clip) -> Value {
-    obj(vec![
-        ("name", Value::Str(clip.name().to_string())),
-        ("region", rect_to_value(clip.region())),
-        (
-            "targets",
-            Value::Arr(clip.targets().iter().map(polygon_to_value).collect()),
-        ),
-        (
-            "srafs",
-            Value::Arr(clip.srafs().iter().map(|&r| rect_to_value(r)).collect()),
-        ),
-    ])
-}
-
-/// Deserializes a clip; targets are re-normalised exactly as
-/// [`Clip::add_target`] does, so a round-tripped clip compares equal.
-pub fn clip_from_value(value: &Value) -> Result<Clip, WireError> {
-    let mut view = ObjView::new(value, "clip")?;
-    let name = as_str(view.take("name")?, "clip.name")?.to_string();
-    let region = rect_from_value(view.take("region")?, "clip.region")?;
-    let targets = as_arr(view.take("targets")?, "clip.targets")?;
-    let srafs = as_arr(view.take("srafs")?, "clip.srafs")?;
-    view.finish()?;
-    let mut clip = Clip::with_name(region, name);
-    for t in targets {
-        clip.add_target(polygon_from_value(t, "clip.targets[..]")?);
-    }
-    for s in srafs {
-        clip.add_sraf(rect_from_value(s, "clip.srafs[..]")?);
-    }
-    Ok(clip)
 }
 
 // ---------------------------------------------------------------------------
@@ -761,39 +191,6 @@ impl LithoSpec {
             None => base,
         }
     }
-
-    fn to_value(&self) -> Value {
-        let preset = match self.preset {
-            LithoPreset::Default => "default",
-            LithoPreset::Fast => "fast",
-        };
-        let mut fields = vec![("preset", Value::Str(preset.to_string()))];
-        if let Some(px) = self.pixel_size {
-            fields.push(("pixel_size", Value::Int(px)));
-        }
-        obj(fields)
-    }
-
-    fn from_value(value: &Value) -> Result<Self, WireError> {
-        let mut view = ObjView::new(value, "litho")?;
-        let preset = match as_str(view.take("preset")?, "litho.preset")? {
-            "default" => LithoPreset::Default,
-            "fast" => LithoPreset::Fast,
-            other => return Err(WireError::Schema(format!("unknown litho preset '{other}'"))),
-        };
-        let pixel_size = match view.take_opt("pixel_size")? {
-            Some(v) => {
-                let px = as_i64(v, "litho.pixel_size")?;
-                if px <= 0 {
-                    return Err(WireError::Schema("pixel_size must be positive".into()));
-                }
-                Some(px)
-            }
-            None => None,
-        };
-        view.finish()?;
-        Ok(Self { preset, pixel_size })
-    }
 }
 
 /// Fragmentation / OPC-preset layer of a request.
@@ -803,23 +200,6 @@ pub enum Layer {
     Via,
     /// Metal-layer rules ([`camo_baselines::OpcConfig::metal_layer`]).
     Metal,
-}
-
-impl Layer {
-    fn as_str(self) -> &'static str {
-        match self {
-            Self::Via => "via",
-            Self::Metal => "metal",
-        }
-    }
-
-    fn from_str(s: &str) -> Result<Self, WireError> {
-        match s {
-            "via" => Ok(Self::Via),
-            "metal" => Ok(Self::Metal),
-            other => Err(WireError::Schema(format!("unknown layer '{other}'"))),
-        }
-    }
 }
 
 /// Which OPC engine executes an optimize/sweep request.
@@ -858,94 +238,10 @@ impl JobSpec {
             max_steps: None,
         }
     }
-
-    fn to_value(&self) -> Result<Value, WireError> {
-        let mut fields = vec![
-            ("litho", self.litho.to_value()),
-            ("layer", Value::Str(self.layer.as_str().to_string())),
-        ];
-        match self.engine {
-            EngineKind::Calibre => fields.push(("engine", Value::Str("calibre".into()))),
-            EngineKind::Camo { seed } => {
-                fields.push(("engine", Value::Str("camo".into())));
-                fields.push(("camo_seed", u64_value(seed)?));
-            }
-        }
-        if let Some(steps) = self.max_steps {
-            fields.push(("max_steps", Value::Int(steps as i64)));
-        }
-        Ok(obj(fields))
-    }
-
-    fn from_value(value: &Value) -> Result<Self, WireError> {
-        let mut view = ObjView::new(value, "job")?;
-        let litho = LithoSpec::from_value(view.take("litho")?)?;
-        let layer = Layer::from_str(as_str(view.take("layer")?, "job.layer")?)?;
-        let engine_name = as_str(view.take("engine")?, "job.engine")?.to_string();
-        let camo_seed = view.take_opt("camo_seed")?;
-        let engine = match engine_name.as_str() {
-            "calibre" => {
-                if camo_seed.is_some() {
-                    return Err(WireError::Schema(
-                        "camo_seed is only valid with engine 'camo'".into(),
-                    ));
-                }
-                EngineKind::Calibre
-            }
-            "camo" => EngineKind::Camo {
-                seed: match camo_seed {
-                    Some(v) => as_u64(v, "job.camo_seed")?,
-                    None => 2024,
-                },
-            },
-            other => return Err(WireError::Schema(format!("unknown engine '{other}'"))),
-        };
-        let max_steps = match view.take_opt("max_steps")? {
-            Some(v) => Some(as_usize(v, "job.max_steps")?),
-            None => None,
-        };
-        view.finish()?;
-        Ok(Self {
-            litho,
-            layer,
-            engine,
-            max_steps,
-        })
-    }
 }
 
-fn layout_params_to_value(params: &LayoutParams) -> Value {
-    obj(vec![
-        ("layout_size", Value::Int(params.layout_size)),
-        ("via_size", Value::Int(params.via_size)),
-        ("cell_size", Value::Int(params.cell_size)),
-        ("fill_percent", Value::Int(params.fill_percent as i64)),
-        ("margin", Value::Int(params.margin)),
-        ("with_srafs", Value::Bool(params.with_srafs)),
-    ])
-}
-
-fn layout_params_from_value(value: &Value) -> Result<LayoutParams, WireError> {
-    let mut view = ObjView::new(value, "layout params")?;
-    let layout_size = as_i64(view.take("layout_size")?, "layout_size")?;
-    let via_size = as_i64(view.take("via_size")?, "via_size")?;
-    let cell_size = as_i64(view.take("cell_size")?, "cell_size")?;
-    let fill_percent = as_i64(view.take("fill_percent")?, "fill_percent")?;
-    let margin = as_i64(view.take("margin")?, "margin")?;
-    let with_srafs = as_bool(view.take("with_srafs")?, "with_srafs")?;
-    view.finish()?;
-    layout_params_checked(
-        layout_size,
-        via_size,
-        cell_size,
-        fill_percent,
-        margin,
-        with_srafs,
-    )
-}
-
-/// Shared validation for both codecs: the layout-parameter invariants the
-/// generator relies on, surfaced as typed errors.
+/// The layout-parameter invariants the generator relies on, surfaced as
+/// typed errors.
 fn layout_params_checked(
     layout_size: i64,
     via_size: i64,
@@ -1057,14 +353,13 @@ pub enum RequestBody {
     Trace,
     /// Ask the server to drain and exit.
     Shutdown,
-    /// Version negotiation: ask the server to switch this connection to a
-    /// newer protocol version. Only valid as the **first** frame of a
-    /// connection; answered inline with `hello_ack` (after which both ends
-    /// switch to the granted version) or a typed `bad_request` error
-    /// (after which the connection simply continues in v1 — the fallback
-    /// every current client relies on).
+    /// The connection preface: the text line every connection opens with,
+    /// naming the protocol version the client speaks. Answered with
+    /// `hello_ack` (after which both ends speak binary frames) or a typed
+    /// `bad_request` error, after which the server closes the connection.
+    /// A binary `hello` after the preface is a `bad_request`.
     Hello {
-        /// Requested protocol version (currently only `2`).
+        /// Requested protocol version (only `2` is accepted).
         version: u32,
     },
     /// Optimise many clips as one request under one job — the wire image
@@ -1080,213 +375,10 @@ pub enum RequestBody {
 }
 
 impl RequestBody {
-    /// Short kind tag (the wire `type` field).
+    /// Short kind tag: the request's name in [`Opcode::opcode_name`].
     pub fn kind(&self) -> &'static str {
-        match self {
-            Self::Ping => "ping",
-            Self::Optimize { .. } => "optimize",
-            Self::Evaluate { .. } => "evaluate",
-            Self::Sweep { .. } => "sweep",
-            Self::Layout { .. } => "layout",
-            Self::Metrics => "metrics",
-            Self::Restart { .. } => "restart",
-            Self::Trace => "trace",
-            Self::Shutdown => "shutdown",
-            Self::Hello { .. } => "hello",
-            Self::OptimizeBatch { .. } => "optimize_batch",
-        }
+        request_opcode(self).opcode_name()
     }
-}
-
-/// Encodes a request as one frame (no trailing newline).
-pub fn encode_request(request: &Request) -> Result<String, WireError> {
-    encode_request_parts(request.id, &request.body, request.trace)
-}
-
-/// Like [`encode_request`], but from borrowed parts — forwarding paths can
-/// encode a stored body without materialising an owned [`Request`].
-pub fn encode_request_parts(
-    id: u64,
-    body: &RequestBody,
-    trace: Option<u64>,
-) -> Result<String, WireError> {
-    let mut fields = vec![
-        (
-            "id",
-            Value::Int(
-                i64::try_from(id).map_err(|_| WireError::Unencodable("request id exceeds i64"))?,
-            ),
-        ),
-        ("type", Value::Str(body.kind().to_string())),
-    ];
-    if let Some(trace_id) = trace {
-        fields.push(("trace_id", u64_value(trace_id)?));
-    }
-    match body {
-        RequestBody::Ping | RequestBody::Metrics | RequestBody::Trace | RequestBody::Shutdown => {}
-        RequestBody::Restart { shard } => {
-            if let Some(index) = shard {
-                fields.push(("shard", Value::Int(*index as i64)));
-            }
-        }
-        RequestBody::Optimize { job, clip } => {
-            fields.push(("job", job.to_value()?));
-            fields.push(("clip", clip_to_value(clip)));
-        }
-        RequestBody::Evaluate {
-            litho,
-            layer,
-            bias,
-            clip,
-        } => {
-            fields.push(("litho", litho.to_value()));
-            fields.push(("layer", Value::Str(layer.as_str().to_string())));
-            fields.push(("bias", Value::Int(*bias)));
-            fields.push(("clip", clip_to_value(clip)));
-        }
-        RequestBody::Sweep { job, cases } => {
-            fields.push(("job", job.to_value()?));
-            fields.push((
-                "cases",
-                Value::Arr(
-                    cases
-                        .iter()
-                        .map(|(name, clip)| {
-                            obj(vec![
-                                ("name", Value::Str(name.clone())),
-                                ("clip", clip_to_value(clip)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        RequestBody::Layout {
-            litho,
-            params,
-            seed,
-            tile_nm,
-        } => {
-            fields.push(("litho", litho.to_value()));
-            fields.push(("params", layout_params_to_value(params)));
-            fields.push(("seed", u64_value(*seed)?));
-            fields.push(("tile_nm", Value::Int(*tile_nm)));
-        }
-        RequestBody::Hello { version } => {
-            fields.push(("version", Value::Int(i64::from(*version))));
-        }
-        RequestBody::OptimizeBatch { job, clips } => {
-            fields.push(("job", job.to_value()?));
-            fields.push((
-                "clips",
-                Value::Arr(clips.iter().map(clip_to_value).collect()),
-            ));
-        }
-    }
-    let value = obj(fields);
-    let mut out = String::new();
-    write_value(&value, &mut out)?;
-    if out.len() > MAX_FRAME {
-        return Err(WireError::Oversized { len: out.len() });
-    }
-    Ok(out)
-}
-
-/// Decodes one frame into a request.
-pub fn decode_request(frame: &str) -> Result<Request, WireError> {
-    let value = parse_value(frame)?;
-    let mut view = ObjView::new(&value, "request")?;
-    let id = as_u64(view.take("id")?, "request.id")?;
-    let kind = as_str(view.take("type")?, "request.type")?.to_string();
-    let trace = match view.take_opt("trace_id")? {
-        Some(v) => Some(as_u64(v, "request.trace_id")?),
-        None => None,
-    };
-    let body = match kind.as_str() {
-        "ping" => RequestBody::Ping,
-        "metrics" => RequestBody::Metrics,
-        "trace" => RequestBody::Trace,
-        "restart" => RequestBody::Restart {
-            shard: match view.take_opt("shard")? {
-                Some(v) => Some(as_usize(v, "restart.shard")?),
-                None => None,
-            },
-        },
-        "shutdown" => RequestBody::Shutdown,
-        "optimize" => RequestBody::Optimize {
-            job: JobSpec::from_value(view.take("job")?)?,
-            clip: clip_from_value(view.take("clip")?)?,
-        },
-        "evaluate" => {
-            let litho = LithoSpec::from_value(view.take("litho")?)?;
-            let layer = Layer::from_str(as_str(view.take("layer")?, "evaluate.layer")?)?;
-            let bias = as_i64(view.take("bias")?, "evaluate.bias")?;
-            // Range check, not `abs()`: `i64::MIN.abs()` overflows.
-            if !(-20..=20).contains(&bias) {
-                return Err(WireError::Schema(
-                    "evaluate.bias exceeds the mask offset clamp (|bias| <= 20)".into(),
-                ));
-            }
-            RequestBody::Evaluate {
-                litho,
-                layer,
-                bias,
-                clip: clip_from_value(view.take("clip")?)?,
-            }
-        }
-        "sweep" => {
-            let job = JobSpec::from_value(view.take("job")?)?;
-            let cases = as_arr(view.take("cases")?, "sweep.cases")?
-                .iter()
-                .map(|case| {
-                    let mut v = ObjView::new(case, "sweep case")?;
-                    let name = as_str(v.take("name")?, "case.name")?.to_string();
-                    let clip = clip_from_value(v.take("clip")?)?;
-                    v.finish()?;
-                    Ok((name, clip))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            if cases.is_empty() {
-                return Err(WireError::Schema("sweep with no cases".into()));
-            }
-            RequestBody::Sweep { job, cases }
-        }
-        "layout" => {
-            let litho = LithoSpec::from_value(view.take("litho")?)?;
-            let params = layout_params_from_value(view.take("params")?)?;
-            let seed = as_u64(view.take("seed")?, "layout.seed")?;
-            let tile_nm = as_i64(view.take("tile_nm")?, "layout.tile_nm")?;
-            if tile_nm <= 0 {
-                return Err(WireError::Schema("tile_nm must be positive".into()));
-            }
-            RequestBody::Layout {
-                litho,
-                params,
-                seed,
-                tile_nm,
-            }
-        }
-        "hello" => {
-            let version = as_i64(view.take("version")?, "hello.version")?;
-            let version = u32::try_from(version)
-                .map_err(|_| WireError::Schema("hello.version out of range".into()))?;
-            RequestBody::Hello { version }
-        }
-        "optimize_batch" => {
-            let job = JobSpec::from_value(view.take("job")?)?;
-            let clips = as_arr(view.take("clips")?, "optimize_batch.clips")?
-                .iter()
-                .map(clip_from_value)
-                .collect::<Result<Vec<_>, WireError>>()?;
-            if clips.is_empty() {
-                return Err(WireError::Schema("optimize_batch with no clips".into()));
-            }
-            RequestBody::OptimizeBatch { job, clips }
-        }
-        other => return Err(WireError::Schema(format!("unknown request type '{other}'"))),
-    };
-    view.finish()?;
-    Ok(Request { id, body, trace })
 }
 
 // ---------------------------------------------------------------------------
@@ -1416,417 +508,350 @@ pub enum ResponseBody {
 }
 
 impl ResponseBody {
-    /// Short kind tag (the wire `type` field).
+    /// Short kind tag: the response's name in [`Opcode::opcode_name`].
     pub fn kind(&self) -> &'static str {
-        match self {
-            Self::Pong => "pong",
-            Self::Outcome(_) => "outcome",
-            Self::CaseOutcome { .. } => "case",
-            Self::Evaluation { .. } => "evaluation",
-            Self::LayoutReport { .. } => "layout",
-            Self::Metrics(_) => "metrics",
-            Self::Trace(_) => "trace",
-            Self::Restarted { .. } => "restarted",
-            Self::Busy { .. } => "busy",
-            Self::Error { .. } => "error",
-            Self::ShuttingDown => "shutting_down",
-            Self::HelloAck { .. } => "hello_ack",
+        response_opcode(self).opcode_name()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The text preface
+// ---------------------------------------------------------------------------
+
+/// One field value of a preface line.
+#[derive(Debug)]
+enum Scalar {
+    Int(i64),
+    Str(String),
+}
+
+/// Wire integers live in `i64`; a `u64` (an id, a retry hint) beyond that
+/// is unencodable rather than silently wrapped.
+fn int_scalar(v: u64) -> Result<Scalar, WireError> {
+    i64::try_from(v)
+        .map(Scalar::Int)
+        .map_err(|_| WireError::Unencodable("u64 exceeds i64 on the wire"))
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect_byte(&mut self, byte: u8, what: &'static str) -> Result<(), WireError> {
+        match self.peek() {
+            Some(b) if b == byte => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(WireError::Syntax { at: self.pos, what }),
+            None => Err(WireError::Truncated),
+        }
+    }
+
+    fn parse_scalar(&mut self) -> Result<Scalar, WireError> {
+        match self.peek() {
+            None => Err(WireError::Truncated),
+            Some(b'"') => Ok(Scalar::Str(self.parse_string()?)),
+            Some(b'-' | b'0'..=b'9') => self.parse_int(),
+            Some(b'{' | b'[') => Err(WireError::TooDeep),
+            Some(_) => Err(WireError::Syntax {
+                at: self.pos,
+                what: "expected a string or an integer",
+            }),
+        }
+    }
+
+    /// Only ASCII bytes are consumed outside strings, and strings advance
+    /// by whole characters, so `pos` always sits on a character boundary.
+    fn parse_string(&mut self) -> Result<String, WireError> {
+        self.expect_byte(b'"', "expected '\"'")?;
+        let mut out = String::new();
+        loop {
+            let at = self.pos;
+            let ch = self
+                .text
+                .get(at..)
+                .and_then(|rest| rest.chars().next())
+                .ok_or(WireError::Truncated)?;
+            self.pos += ch.len_utf8();
+            match ch {
+                '"' => return Ok(out),
+                '\\' => {
+                    out.push(match self.peek().ok_or(WireError::Truncated)? {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        _ => return Err(WireError::BadEscape { at }),
+                    });
+                    self.pos += 1;
+                }
+                c if (c as u32) < 0x20 => {
+                    return Err(WireError::Syntax {
+                        at,
+                        what: "raw control byte in string",
+                    })
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// Preface numbers are integers: a fraction or an exponent is a bad
+    /// number, like an integer beyond `i64`.
+    fn parse_int(&mut self) -> Result<Scalar, WireError> {
+        let start = self.pos;
+        self.pos += 1;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        self.text
+            .get(start..self.pos)
+            .and_then(|digits| digits.parse().ok())
+            .map(Scalar::Int)
+            .ok_or(WireError::BadNumber { at: start })
+    }
+}
+
+/// The fields of one parsed preface line, consumed strictly: each field is
+/// taken once, and [`Fields::finish`] rejects any left over.
+struct Fields(Vec<(String, Scalar)>);
+
+impl Fields {
+    /// Parses one preface line (without its newline): `{"key":value,...}`
+    /// with integer or string values.
+    fn parse(line: &str) -> Result<Self, WireError> {
+        if line.len() > MAX_FRAME {
+            return Err(WireError::Oversized { len: line.len() });
+        }
+        let mut p = Parser { text: line, pos: 0 };
+        let mut fields: Vec<(String, Scalar)> = Vec::new();
+        p.skip_ws();
+        p.expect_byte(b'{', "expected '{'")?;
+        loop {
+            p.skip_ws();
+            let key_at = p.pos;
+            let key = p.parse_string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(WireError::Syntax {
+                    at: key_at,
+                    what: "duplicate object key",
+                });
+            }
+            p.skip_ws();
+            p.expect_byte(b':', "expected ':'")?;
+            p.skip_ws();
+            fields.push((key, p.parse_scalar()?));
+            p.skip_ws();
+            match p.peek() {
+                Some(b',') => p.pos += 1,
+                Some(b'}') => break,
+                Some(_) => {
+                    return Err(WireError::Syntax {
+                        at: p.pos,
+                        what: "expected ',' or '}'",
+                    })
+                }
+                None => return Err(WireError::Truncated),
+            }
+        }
+        p.pos += 1;
+        p.skip_ws();
+        if p.pos != line.len() {
+            return Err(WireError::Syntax {
+                at: p.pos,
+                what: "trailing bytes after value",
+            });
+        }
+        Ok(Self(fields))
+    }
+
+    fn take(&mut self, key: &str) -> Result<Scalar, WireError> {
+        let at = self
+            .0
+            .iter()
+            .position(|(k, _)| k == key)
+            .ok_or_else(|| WireError::Schema(format!("missing field '{key}'")))?;
+        Ok(self.0.remove(at).1)
+    }
+
+    fn int<T: TryFrom<i64>>(&mut self, key: &str) -> Result<T, WireError> {
+        match self.take(key)? {
+            Scalar::Int(v) => {
+                T::try_from(v).map_err(|_| WireError::Schema(format!("{key}: out of range")))
+            }
+            Scalar::Str(_) => Err(WireError::Schema(format!("{key}: expected an integer"))),
+        }
+    }
+
+    fn string(&mut self, key: &str) -> Result<String, WireError> {
+        match self.take(key)? {
+            Scalar::Str(s) => Ok(s),
+            Scalar::Int(_) => Err(WireError::Schema(format!("{key}: expected a string"))),
+        }
+    }
+
+    fn finish(self) -> Result<(), WireError> {
+        match self.0.first() {
+            Some((key, _)) => Err(WireError::Schema(format!("unknown field '{key}'"))),
+            None => Ok(()),
         }
     }
 }
 
-fn outcome_fields(outcome: &WireOutcome, fields: &mut Vec<(&str, Value)>) {
-    fields.push(("offsets", int_arr(&outcome.offsets)));
-    fields.push(("epe", float_arr(&outcome.epe_per_point)));
-    fields.push(("pv_band", Value::Float(outcome.pv_band)));
-    fields.push(("steps", Value::Int(outcome.steps as i64)));
-}
-
-fn outcome_from_view(view: &mut ObjView<'_>) -> Result<WireOutcome, WireError> {
-    Ok(WireOutcome {
-        offsets: i64_vec(view.take("offsets")?, "outcome.offsets")?,
-        epe_per_point: f64_vec(view.take("epe")?, "outcome.epe")?,
-        pv_band: as_f64(view.take("pv_band")?, "outcome.pv_band")?,
-        steps: as_usize(view.take("steps")?, "outcome.steps")?,
-    })
-}
-
-fn kind_latency_to_value(k: &KindLatency) -> Result<Value, WireError> {
-    let buckets = k
-        .latency
-        .buckets
-        .iter()
-        .map(|&b| u64_value(b))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(obj(vec![
-        ("kind", Value::Str(k.kind.clone())),
-        ("count", u64_value(k.latency.count)?),
-        ("p50_us", u64_value(k.latency.p50_us)?),
-        ("p99_us", u64_value(k.latency.p99_us)?),
-        ("max_us", u64_value(k.latency.max_us)?),
-        ("buckets", Value::Arr(buckets)),
-    ]))
-}
-
-fn kind_latency_from_value(value: &Value) -> Result<KindLatency, WireError> {
-    let mut view = ObjView::new(value, "latency")?;
-    let kind = as_str(view.take("kind")?, "latency.kind")?.to_string();
-    let count = as_u64(view.take("count")?, "latency.count")?;
-    let p50_us = as_u64(view.take("p50_us")?, "latency.p50_us")?;
-    let p99_us = as_u64(view.take("p99_us")?, "latency.p99_us")?;
-    let max_us = as_u64(view.take("max_us")?, "latency.max_us")?;
-    let buckets = as_arr(view.take("buckets")?, "latency.buckets")?
-        .iter()
-        .map(|v| as_u64(v, "latency.buckets[..]"))
-        .collect::<Result<Vec<_>, _>>()?;
-    view.finish()?;
-    Ok(KindLatency {
-        kind,
-        latency: LatencySnapshot {
-            count,
-            p50_us,
-            p99_us,
-            max_us,
-            buckets,
-        },
-    })
-}
-
-fn shard_status_to_value(s: &ShardStatus) -> Value {
-    obj(vec![
-        ("index", Value::Int(s.index as i64)),
-        ("alive", Value::Bool(s.alive)),
-        ("benched", Value::Bool(s.benched)),
-        ("forwarded", Value::Int(s.forwarded as i64)),
-        ("respawns", Value::Int(s.respawns as i64)),
-        ("queue_depth", Value::Int(s.queue_depth as i64)),
-        ("in_flight", Value::Int(s.in_flight as i64)),
-        (
-            "in_flight_high_water",
-            Value::Int(s.in_flight_high_water as i64),
-        ),
-        ("completed", Value::Int(s.completed as i64)),
-        ("busy_rejected", Value::Int(s.busy_rejected as i64)),
-    ])
-}
-
-fn shard_status_from_value(value: &Value) -> Result<ShardStatus, WireError> {
-    let mut view = ObjView::new(value, "shard status")?;
-    let status = ShardStatus {
-        index: as_usize(view.take("index")?, "shard.index")?,
-        alive: as_bool(view.take("alive")?, "shard.alive")?,
-        benched: as_bool(view.take("benched")?, "shard.benched")?,
-        forwarded: as_usize(view.take("forwarded")?, "shard.forwarded")?,
-        respawns: as_usize(view.take("respawns")?, "shard.respawns")?,
-        queue_depth: as_usize(view.take("queue_depth")?, "shard.queue_depth")?,
-        in_flight: as_usize(view.take("in_flight")?, "shard.in_flight")?,
-        in_flight_high_water: as_usize(
-            view.take("in_flight_high_water")?,
-            "shard.in_flight_high_water",
-        )?,
-        completed: as_usize(view.take("completed")?, "shard.completed")?,
-        busy_rejected: as_usize(view.take("busy_rejected")?, "shard.busy_rejected")?,
-    };
-    view.finish()?;
-    Ok(status)
-}
-
-fn span_to_value(span: &SpanRecord) -> Result<Value, WireError> {
-    Ok(obj(vec![
-        ("trace_id", u64_value(span.trace_id)?),
-        ("stage", Value::Str(span.stage.clone())),
-        ("start_us", u64_value(span.start_us)?),
-        ("end_us", u64_value(span.end_us)?),
-    ]))
-}
-
-fn span_from_value(value: &Value) -> Result<SpanRecord, WireError> {
-    let mut view = ObjView::new(value, "span")?;
-    let span = SpanRecord {
-        trace_id: as_u64(view.take("trace_id")?, "span.trace_id")?,
-        stage: as_str(view.take("stage")?, "span.stage")?.to_string(),
-        start_us: as_u64(view.take("start_us")?, "span.start_us")?,
-        end_us: as_u64(view.take("end_us")?, "span.end_us")?,
-    };
-    view.finish()?;
-    Ok(span)
-}
-
-fn span_arr(spans: &[SpanRecord]) -> Result<Value, WireError> {
-    Ok(Value::Arr(
-        spans
-            .iter()
-            .map(span_to_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
-}
-
-fn span_vec(value: &Value, context: &str) -> Result<Vec<SpanRecord>, WireError> {
-    as_arr(value, context)?
-        .iter()
-        .map(span_from_value)
-        .collect()
-}
-
-fn shard_trace_to_value(shard: &ShardTrace) -> Result<Value, WireError> {
-    Ok(obj(vec![
-        ("index", Value::Int(shard.index as i64)),
-        ("dropped", u64_value(shard.dropped)?),
-        ("spans", span_arr(&shard.spans)?),
-    ]))
-}
-
-fn shard_trace_from_value(value: &Value) -> Result<ShardTrace, WireError> {
-    let mut view = ObjView::new(value, "shard trace")?;
-    let shard = ShardTrace {
-        index: as_usize(view.take("index")?, "shard_trace.index")?,
-        dropped: as_u64(view.take("dropped")?, "shard_trace.dropped")?,
-        spans: span_vec(view.take("spans")?, "shard_trace.spans")?,
-    };
-    view.finish()?;
-    Ok(shard)
-}
-
-fn trace_fields(
-    report: &TraceReport,
-    fields: &mut Vec<(&'static str, Value)>,
-) -> Result<(), WireError> {
-    fields.push(("role", Value::Str(report.role.clone())));
-    fields.push(("dropped", u64_value(report.dropped)?));
-    fields.push(("spans", span_arr(&report.spans)?));
-    fields.push((
-        "shards",
-        Value::Arr(
-            report
-                .shards
-                .iter()
-                .map(shard_trace_to_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    ));
-    Ok(())
-}
-
-fn trace_from_view(view: &mut ObjView<'_>) -> Result<TraceReport, WireError> {
-    Ok(TraceReport {
-        role: as_str(view.take("role")?, "trace.role")?.to_string(),
-        dropped: as_u64(view.take("dropped")?, "trace.dropped")?,
-        spans: span_vec(view.take("spans")?, "trace.spans")?,
-        shards: as_arr(view.take("shards")?, "trace.shards")?
-            .iter()
-            .map(shard_trace_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn metrics_fields(
-    report: &MetricsReport,
-    fields: &mut Vec<(&'static str, Value)>,
-) -> Result<(), WireError> {
-    fields.push(("role", Value::Str(report.role.clone())));
-    fields.push(("simd_arch", Value::Str(report.simd_arch.clone())));
-    fields.push(("queue_depth", Value::Int(report.queue_depth as i64)));
-    fields.push((
-        "queue_high_water",
-        Value::Int(report.queue_high_water as i64),
-    ));
-    fields.push(("in_flight", Value::Int(report.in_flight as i64)));
-    fields.push((
-        "in_flight_high_water",
-        Value::Int(report.in_flight_high_water as i64),
-    ));
-    fields.push(("completed", Value::Int(report.completed as i64)));
-    fields.push(("busy_rejected", Value::Int(report.busy_rejected as i64)));
-    fields.push(("redispatched", Value::Int(report.redispatched as i64)));
-    fields.push(("respawns", Value::Int(report.respawns as i64)));
-    fields.push((
-        "latency",
-        Value::Arr(
-            report
-                .latency
-                .iter()
-                .map(kind_latency_to_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    ));
-    fields.push((
-        "stage_latency",
-        Value::Arr(
-            report
-                .stage_latency
-                .iter()
-                .map(kind_latency_to_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    ));
-    fields.push((
-        "shards",
-        Value::Arr(report.shards.iter().map(shard_status_to_value).collect()),
-    ));
-    Ok(())
-}
-
-fn metrics_from_view(view: &mut ObjView<'_>) -> Result<MetricsReport, WireError> {
-    Ok(MetricsReport {
-        role: as_str(view.take("role")?, "metrics.role")?.to_string(),
-        simd_arch: as_str(view.take("simd_arch")?, "metrics.simd_arch")?.to_string(),
-        queue_depth: as_usize(view.take("queue_depth")?, "metrics.queue_depth")?,
-        queue_high_water: as_usize(view.take("queue_high_water")?, "metrics.queue_high_water")?,
-        in_flight: as_usize(view.take("in_flight")?, "metrics.in_flight")?,
-        in_flight_high_water: as_usize(
-            view.take("in_flight_high_water")?,
-            "metrics.in_flight_high_water",
-        )?,
-        completed: as_usize(view.take("completed")?, "metrics.completed")?,
-        busy_rejected: as_usize(view.take("busy_rejected")?, "metrics.busy_rejected")?,
-        redispatched: as_usize(view.take("redispatched")?, "metrics.redispatched")?,
-        respawns: as_usize(view.take("respawns")?, "metrics.respawns")?,
-        latency: as_arr(view.take("latency")?, "metrics.latency")?
-            .iter()
-            .map(kind_latency_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        stage_latency: as_arr(view.take("stage_latency")?, "metrics.stage_latency")?
-            .iter()
-            .map(kind_latency_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        shards: as_arr(view.take("shards")?, "metrics.shards")?
-            .iter()
-            .map(shard_status_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-/// Encodes a response as one frame (no trailing newline).
-pub fn encode_response(response: &Response) -> Result<String, WireError> {
-    let id = i64::try_from(response.id)
-        .map_err(|_| WireError::Unencodable("response id exceeds i64"))?;
-    let mut fields = vec![
-        ("id", Value::Int(id)),
-        ("type", Value::Str(response.body.kind().to_string())),
-    ];
-    match &response.body {
-        ResponseBody::Pong | ResponseBody::ShuttingDown => {}
-        ResponseBody::Outcome(outcome) => outcome_fields(outcome, &mut fields),
-        ResponseBody::CaseOutcome {
-            index,
-            total,
-            name,
-            outcome,
-        } => {
-            fields.push(("index", Value::Int(*index as i64)));
-            fields.push(("total", Value::Int(*total as i64)));
-            fields.push(("name", Value::Str(name.clone())));
-            outcome_fields(outcome, &mut fields);
+/// Writes one preface line (no trailing newline).
+fn preface_line(fields: &[(&str, Scalar)]) -> Result<String, WireError> {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        ResponseBody::Evaluation {
-            epe_per_point,
-            pv_band,
-        } => {
-            fields.push(("epe", float_arr(epe_per_point)));
-            fields.push(("pv_band", Value::Float(*pv_band)));
-        }
-        ResponseBody::LayoutReport {
-            tiles,
-            epe_per_point,
-            pv_band,
-        } => {
-            fields.push(("tiles", Value::Int(*tiles as i64)));
-            fields.push(("epe", float_arr(epe_per_point)));
-            fields.push(("pv_band", Value::Float(*pv_band)));
-        }
-        ResponseBody::Metrics(report) => metrics_fields(report, &mut fields)?,
-        ResponseBody::Trace(report) => trace_fields(report, &mut fields)?,
-        ResponseBody::Restarted { shards } => {
-            let indices: Vec<i64> = shards.iter().map(|&s| s as i64).collect();
-            fields.push(("shards", int_arr(&indices)));
-        }
-        ResponseBody::Busy { retry_after_ms } => {
-            fields.push(("retry_after_ms", u64_value(*retry_after_ms)?));
-        }
-        ResponseBody::Error { code, message } => {
-            fields.push(("code", Value::Str(code.as_str().to_string())));
-            fields.push(("message", Value::Str(message.clone())));
-        }
-        ResponseBody::HelloAck { version } => {
-            fields.push(("version", Value::Int(i64::from(*version))));
+        write_string(key, &mut out)?;
+        out.push(':');
+        match value {
+            Scalar::Int(v) => out.push_str(&v.to_string()),
+            Scalar::Str(s) => write_string(s, &mut out)?,
         }
     }
-    let value = obj(fields);
-    let mut out = String::new();
-    write_value(&value, &mut out)?;
+    out.push('}');
     if out.len() > MAX_FRAME {
         return Err(WireError::Oversized { len: out.len() });
     }
     Ok(out)
 }
 
-/// Decodes one frame into a response.
+fn write_string(s: &str, out: &mut String) -> Result<(), WireError> {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                return Err(WireError::Unencodable("control character in string"))
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    Ok(())
+}
+
+/// Encodes the client's preface line (no trailing newline). Only `hello`
+/// travels as text; every other request is a binary frame.
+pub fn encode_request(request: &Request) -> Result<String, WireError> {
+    let RequestBody::Hello { version } = &request.body else {
+        return Err(WireError::Unencodable("only `hello` travels as text"));
+    };
+    if request.trace.is_some() {
+        return Err(WireError::Unencodable(
+            "the text preface carries no trace id",
+        ));
+    }
+    preface_line(&[
+        ("id", int_scalar(request.id)?),
+        ("type", Scalar::Str(request.body.kind().into())),
+        ("version", Scalar::Int((*version).into())),
+    ])
+}
+
+/// Decodes a connection's first line. Anything but a well-formed `hello`
+/// is a typed error.
+pub fn decode_request(frame: &str) -> Result<Request, WireError> {
+    let mut fields = Fields::parse(frame)?;
+    let id = fields.int("id")?;
+    if fields.string("type")? != "hello" {
+        return Err(WireError::Schema(
+            "a connection must open with a `hello` line".into(),
+        ));
+    }
+    let version = fields.int("version")?;
+    fields.finish()?;
+    Ok(Request {
+        id,
+        body: RequestBody::Hello { version },
+        trace: None,
+    })
+}
+
+/// Encodes the server's preface reply (no trailing newline): `hello_ack`,
+/// or the `error`/`busy` that precedes closing the connection.
+pub fn encode_response(response: &Response) -> Result<String, WireError> {
+    let mut fields = vec![
+        ("id", int_scalar(response.id)?),
+        ("type", Scalar::Str(response.body.kind().into())),
+    ];
+    match &response.body {
+        ResponseBody::HelloAck { version } => {
+            fields.push(("version", Scalar::Int((*version).into())));
+        }
+        ResponseBody::Error { code, message } => {
+            fields.push(("code", Scalar::Str(code.as_str().into())));
+            fields.push(("message", Scalar::Str(message.clone())));
+        }
+        ResponseBody::Busy { retry_after_ms } => {
+            fields.push(("retry_after_ms", int_scalar(*retry_after_ms)?));
+        }
+        _ => {
+            return Err(WireError::Unencodable(
+                "only `hello_ack`, `error` and `busy` travel as text",
+            ))
+        }
+    }
+    preface_line(&fields)
+}
+
+/// Decodes the server's preface reply.
 pub fn decode_response(frame: &str) -> Result<Response, WireError> {
-    let value = parse_value(frame)?;
-    let mut view = ObjView::new(&value, "response")?;
-    let id = as_u64(view.take("id")?, "response.id")?;
-    let kind = as_str(view.take("type")?, "response.type")?.to_string();
-    let body = match kind.as_str() {
-        "pong" => ResponseBody::Pong,
-        "shutting_down" => ResponseBody::ShuttingDown,
-        "outcome" => ResponseBody::Outcome(outcome_from_view(&mut view)?),
-        "case" => ResponseBody::CaseOutcome {
-            index: as_usize(view.take("index")?, "case.index")?,
-            total: as_usize(view.take("total")?, "case.total")?,
-            name: as_str(view.take("name")?, "case.name")?.to_string(),
-            outcome: outcome_from_view(&mut view)?,
-        },
-        "evaluation" => ResponseBody::Evaluation {
-            epe_per_point: f64_vec(view.take("epe")?, "evaluation.epe")?,
-            pv_band: as_f64(view.take("pv_band")?, "evaluation.pv_band")?,
-        },
-        "layout" => ResponseBody::LayoutReport {
-            tiles: as_usize(view.take("tiles")?, "layout.tiles")?,
-            epe_per_point: f64_vec(view.take("epe")?, "layout.epe")?,
-            pv_band: as_f64(view.take("pv_band")?, "layout.pv_band")?,
-        },
-        "metrics" => ResponseBody::Metrics(metrics_from_view(&mut view)?),
-        "trace" => ResponseBody::Trace(trace_from_view(&mut view)?),
-        "restarted" => ResponseBody::Restarted {
-            shards: as_arr(view.take("shards")?, "restarted.shards")?
-                .iter()
-                .map(|v| as_usize(v, "restarted.shards[..]"))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        "busy" => ResponseBody::Busy {
-            retry_after_ms: as_u64(view.take("retry_after_ms")?, "busy.retry_after_ms")?,
+    let mut fields = Fields::parse(frame)?;
+    let id = fields.int("id")?;
+    let body = match fields.string("type")?.as_str() {
+        "hello_ack" => ResponseBody::HelloAck {
+            version: fields.int("version")?,
         },
         "error" => ResponseBody::Error {
-            code: ErrorCode::from_str(as_str(view.take("code")?, "error.code")?)?,
-            message: as_str(view.take("message")?, "error.message")?.to_string(),
+            code: ErrorCode::from_str(&fields.string("code")?)?,
+            message: fields.string("message")?,
         },
-        "hello_ack" => {
-            let version = as_i64(view.take("version")?, "hello_ack.version")?;
-            let version = u32::try_from(version)
-                .map_err(|_| WireError::Schema("hello_ack.version out of range".into()))?;
-            ResponseBody::HelloAck { version }
-        }
-        other => {
-            return Err(WireError::Schema(format!(
-                "unknown response type '{other}'"
-            )))
+        "busy" => ResponseBody::Busy {
+            retry_after_ms: fields.int("retry_after_ms")?,
+        },
+        _ => {
+            return Err(WireError::Schema(
+                "a preface reply is `hello_ack`, `error` or `busy`".into(),
+            ))
         }
     };
-    view.finish()?;
+    fields.finish()?;
     Ok(Response { id, body })
 }
 
-// ---------------------------------------------------------------------------
-// Bounded frame reader
-// ---------------------------------------------------------------------------
-
-/// One frame read from a connection.
+/// One text line read from a connection.
 #[derive(Debug)]
 pub enum Frame {
     /// A complete line within the size bound (newline stripped).
     Line(String),
     /// A line longer than [`MAX_FRAME`]; the input was consumed up to its
-    /// newline so the connection stays framed.
+    /// newline.
     Oversized {
         /// Bytes the oversized line occupied.
         len: usize,
@@ -1880,45 +905,21 @@ pub fn read_frame(reader: &mut impl std::io::BufRead) -> std::io::Result<Option<
 // Binary framing (wire v2)
 // ---------------------------------------------------------------------------
 //
-// v2 exists for one reason: masks. The v1 text codec round-trips every f64
-// through exact decimal formatting, which dominates once responses carry
-// realistic per-point EPE arrays. A v2 frame is
+// Every frame after the text preface is
 //
 //   [u32 payload_len, LE] [u8 opcode] [payload]
 //
 // with every field little-endian and every f64 carried as its raw
-// `to_bits()` image, so encoding an array is a bounds-checked memcpy.
-// Connections always start in v1; a `hello` request (which must be the
-// first frame of the connection) upgrades both directions after the
-// `hello_ack` response. See docs/WIRE_PROTOCOL.md §9 for the normative
-// byte-level spec.
+// `to_bits()` image, so encoding an array is a bounds-checked memcpy and
+// served results stay bit-identical. See docs/WIRE_PROTOCOL.md for the
+// normative byte-level spec.
 
 /// Maximum v2 payload length in bytes (the 5-byte frame header excluded).
 ///
-/// v2 exists to carry mask-scale `f64` arrays, so the bound is far above
-/// [`MAX_FRAME`]; it still caps what a hostile peer can make a reader
+/// Frames carry mask-scale `f64` arrays and multi-clip batches, so the
+/// bound is large; it still caps what a hostile peer can make a reader
 /// buffer for one frame.
 pub const MAX_FRAME_V2: usize = 1 << 26;
-
-/// The protocol version of one connection, negotiated per connection by
-/// the `hello`/`hello_ack` handshake (which itself always travels in v1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireVersion {
-    /// Line-based JSON-subset text frames — the default every peer speaks.
-    V1,
-    /// Length-prefixed little-endian binary frames.
-    V2,
-}
-
-impl WireVersion {
-    /// Short printable tag (`"v1"` / `"v2"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::V1 => "v1",
-            Self::V2 => "v2",
-        }
-    }
-}
 
 /// The opcode byte of one v2 frame. Requests are `0x01..=0x1f`, responses
 /// `0x21..=0x3f`; the ranges are disjoint so a desynchronised peer can
@@ -1944,8 +945,8 @@ pub enum Opcode {
     Trace = 0x08,
     /// `shutdown` request.
     Shutdown = 0x09,
-    /// `hello` request (only meaningful in v1; a binary hello is an
-    /// error because the handshake must be the connection's first frame).
+    /// `hello` request (the text preface; a binary hello is a
+    /// `bad_request`).
     Hello = 0x0A,
     /// `optimize_batch` request.
     OptimizeBatch = 0x0B,
@@ -1971,8 +972,7 @@ pub enum Opcode {
     Error = 0x2A,
     /// `shutting_down` response.
     ShuttingDown = 0x2B,
-    /// `hello_ack` response (only ever sent in v1, immediately before the
-    /// switch).
+    /// `hello_ack` response (sent as the text preface reply).
     HelloAck = 0x2C,
 }
 
@@ -2007,9 +1007,10 @@ impl Opcode {
         })
     }
 
-    /// The documented kind name of this binary frame (the same tag the v1
-    /// `type` field carries), checked against `docs/WIRE_PROTOCOL.md` by
-    /// camo-lint's drift rule.
+    /// The documented kind name of this frame: the protocol's one kind
+    /// table, behind [`RequestBody::kind`], [`ResponseBody::kind`] and the
+    /// preface's `type` field, and checked against
+    /// `docs/WIRE_PROTOCOL.md` by camo-lint's drift rule.
     pub fn opcode_name(self) -> &'static str {
         match self {
             Self::Ping => "ping",
@@ -2116,8 +1117,8 @@ impl FrameBuilder {
         Ok(())
     }
 
-    /// Writes a u64 value field. Mirrors the v1 rule that wire integers
-    /// live in i64, so both codecs reject exactly the same inputs.
+    /// Writes a u64 value field. Wire integers live in i64, so a value
+    /// beyond that is unencodable rather than silently wrapped.
     fn put_u64(&mut self, v: u64) -> Result<(), WireError> {
         if i64::try_from(v).is_err() {
             return Err(WireError::Unencodable("u64 exceeds i64 on the wire"));
@@ -2134,8 +1135,8 @@ impl FrameBuilder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Raw bit image: unlike v1, every f64 (NaN payloads, infinities,
-    /// -0.0, subnormals) round-trips bit-exactly.
+    /// Raw bit image: every f64 (NaN payloads, infinities, -0.0,
+    /// subnormals) round-trips bit-exactly.
     fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
@@ -2150,15 +1151,11 @@ impl FrameBuilder {
         Ok(())
     }
 
+    /// An option is its tag byte (a bool: `1` when a value follows), then
+    /// the value.
     fn put_opt_u64(&mut self, v: Option<u64>) -> Result<(), WireError> {
-        match v {
-            None => self.put_u8(0),
-            Some(v) => {
-                self.put_u8(1);
-                self.put_u64(v)?;
-            }
-        }
-        Ok(())
+        self.put_bool(v.is_some());
+        v.map_or(Ok(()), |v| self.put_u64(v))
     }
 
     fn put_opt_usize(&mut self, v: Option<usize>) -> Result<(), WireError> {
@@ -2166,12 +1163,9 @@ impl FrameBuilder {
     }
 
     fn put_opt_i64(&mut self, v: Option<i64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(v) => {
-                self.put_u8(1);
-                self.put_i64(v);
-            }
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            self.put_i64(v);
         }
     }
 
@@ -2248,8 +1242,8 @@ impl<'a> Cursor<'a> {
         Ok(self.take_u32()? as usize)
     }
 
-    /// Mirrors the v1 rule that wire integers live in i64: a raw u64
-    /// beyond that is a schema error, exactly like an unparsable v1 int.
+    /// Wire integers live in i64: a raw u64 beyond that is a schema
+    /// error.
     fn take_u64(&mut self, what: &str) -> Result<u64, WireError> {
         let v = le8(self.need(8)?);
         if i64::try_from(v).is_err() {
@@ -2264,10 +1258,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn take_i64(&mut self) -> Result<i64, WireError> {
-        let b = self.need(8)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(le8(self.need(8)?) as i64)
     }
 
     fn take_f64(&mut self) -> Result<f64, WireError> {
@@ -2292,44 +1283,37 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireError::Schema(format!("{what}: invalid utf-8")))
     }
 
-    fn take_opt_u64(&mut self, what: &str) -> Result<Option<u64>, WireError> {
+    /// An option's tag byte: whether a value follows.
+    fn take_some(&mut self, what: &str) -> Result<bool, WireError> {
         match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_u64(what)?)),
+            0 => Ok(false),
+            1 => Ok(true),
             other => Err(WireError::Schema(format!(
                 "{what}: invalid option tag {other}"
             ))),
         }
+    }
+
+    fn take_opt_u64(&mut self, what: &str) -> Result<Option<u64>, WireError> {
+        self.take_some(what)?
+            .then(|| self.take_u64(what))
+            .transpose()
     }
 
     fn take_opt_usize(&mut self, what: &str) -> Result<Option<usize>, WireError> {
-        match self.take_opt_u64(what)? {
-            None => Ok(None),
-            Some(v) => {
-                Ok(Some(usize::try_from(v).map_err(|_| {
-                    WireError::Schema(format!("{what}: exceeds usize"))
-                })?))
-            }
-        }
+        self.take_some(what)?
+            .then(|| self.take_usize(what))
+            .transpose()
     }
 
     fn take_opt_i64(&mut self, what: &str) -> Result<Option<i64>, WireError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_i64()?)),
-            other => Err(WireError::Schema(format!(
-                "{what}: invalid option tag {other}"
-            ))),
-        }
+        self.take_some(what)?.then(|| self.take_i64()).transpose()
     }
 
     fn take_i64s(&mut self) -> Result<Vec<i64>, WireError> {
         let n = self.take_len()?;
         let bytes = self.need(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
+        Ok(bytes.chunks_exact(8).map(|c| le8(c) as i64).collect())
     }
 
     fn take_f64s(&mut self) -> Result<Vec<f64>, WireError> {
@@ -2355,8 +1339,7 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// Trailing bytes after a fully decoded payload are a schema error,
-    /// mirroring v1's trailing-character check.
+    /// Trailing bytes after a fully decoded payload are a schema error.
     fn finish(self) -> Result<(), WireError> {
         if self.pos != self.bytes.len() {
             return Err(WireError::Schema(
@@ -2473,7 +1456,7 @@ fn put_clip_v2(b: &mut FrameBuilder, clip: &Clip) -> Result<(), WireError> {
 }
 
 /// Targets are re-normalised exactly as [`Clip::add_target`] does, so a
-/// round-tripped clip compares equal — the same contract as the v1 codec.
+/// round-tripped clip compares equal.
 fn take_clip_v2(c: &mut Cursor<'_>) -> Result<Clip, WireError> {
     let name = c.take_str("clip.name")?;
     let region = take_rect_v2(c, "clip.region")?;
@@ -2722,8 +1705,8 @@ pub fn encode_request_v2(request: &Request) -> Result<Vec<u8>, WireError> {
     encode_request_parts_v2(request.id, &request.body, request.trace)
 }
 
-/// Encodes a v2 request frame from parts without cloning the body — the
-/// binary twin of [`encode_request_parts`].
+/// Encodes a v2 request frame from parts without cloning the body —
+/// forwarding paths encode a stored body under their own id.
 pub fn encode_request_parts_v2(
     id: u64,
     body: &RequestBody,
@@ -2781,9 +1764,8 @@ pub fn encode_request_parts_v2(
     b.finish()
 }
 
-/// Decodes one v2 request payload. Applies exactly the validations the v1
-/// decoder applies, so negotiated version never changes what a server
-/// accepts.
+/// Decodes one v2 request payload, validating every field a hostile peer
+/// could use to make execution panic. Never panics on hostile input.
 pub fn decode_request_v2(opcode: u8, payload: &[u8]) -> Result<Request, WireError> {
     let op = Opcode::from_u8(opcode)
         .ok_or_else(|| WireError::Schema(format!("unknown opcode 0x{opcode:02x}")))?;
@@ -3010,8 +1992,8 @@ pub enum FrameV2 {
         payload: Vec<u8>,
     },
     /// A frame whose declared payload length exceeds [`MAX_FRAME_V2`].
-    /// Unlike an oversized v1 line there is no newline to resync on, so
-    /// the connection cannot be re-framed and must be closed.
+    /// There is no delimiter to resync on, so the connection cannot be
+    /// re-framed and must be closed.
     Oversized {
         /// The declared payload length.
         len: usize,
@@ -3020,8 +2002,7 @@ pub enum FrameV2 {
 
 /// Reads one length-prefixed v2 frame without ever buffering more than
 /// [`MAX_FRAME_V2`] payload bytes. Returns `Ok(None)` at EOF; a partial
-/// frame at EOF is dropped (the peer died mid-frame), exactly like a
-/// partial v1 line.
+/// frame at EOF is dropped (the peer died mid-frame).
 pub fn read_frame_v2(reader: &mut impl std::io::Read) -> std::io::Result<Option<FrameV2>> {
     let mut header = [0u8; 5];
     if !read_full(reader, &mut header)? {
@@ -3063,120 +2044,115 @@ mod tests {
         clip
     }
 
+    fn hello(id: u64) -> Request {
+        Request {
+            id,
+            body: RequestBody::Hello { version: 2 },
+            trace: None,
+        }
+    }
+
     #[test]
     fn requests_round_trip() {
-        let bodies = vec![
+        // The preface carries exactly one request kind, byte-compatible
+        // with every client that already opens with this line.
+        let line = encode_request(&hello(1)).unwrap();
+        assert_eq!(line, r#"{"id":1,"type":"hello","version":2}"#);
+        assert_eq!(decode_request(&line).unwrap(), hello(1));
+        let other = Request {
+            body: RequestBody::Hello { version: 3 },
+            ..hello(u64::MAX >> 1)
+        };
+        assert_eq!(
+            decode_request(&encode_request(&other).unwrap()).unwrap(),
+            other
+        );
+        // Every other kind is a binary frame: refused as text both ways.
+        for body in [
             RequestBody::Ping,
-            RequestBody::Shutdown,
-            RequestBody::Optimize {
+            RequestBody::OptimizeBatch {
                 job: JobSpec::fast_calibre_via(),
-                clip: via_clip(),
+                clips: vec![via_clip()],
             },
-            RequestBody::Evaluate {
-                litho: LithoSpec::paper(),
-                layer: Layer::Metal,
-                bias: -3,
-                clip: via_clip(),
-            },
-            RequestBody::Sweep {
-                job: JobSpec {
-                    engine: EngineKind::Camo { seed: 7 },
-                    max_steps: Some(2),
-                    ..JobSpec::fast_calibre_via()
-                },
-                cases: vec![("a".into(), via_clip()), ("b".into(), via_clip())],
-            },
-            RequestBody::Layout {
-                litho: LithoSpec::fast(),
-                params: LayoutParams::smoke(),
-                seed: 99,
-                tile_nm: 1500,
-            },
-        ];
-        for (i, body) in bodies.into_iter().enumerate() {
+        ] {
             let request = Request {
-                id: i as u64,
+                id: 1,
                 body,
                 trace: None,
             };
-            let frame = encode_request(&request).unwrap();
-            assert_eq!(decode_request(&frame).unwrap(), request, "frame: {frame}");
+            assert!(matches!(
+                encode_request(&request).unwrap_err(),
+                WireError::Unencodable(_)
+            ));
         }
+        assert!(matches!(
+            decode_request(r#"{"id":1,"type":"ping"}"#).unwrap_err(),
+            WireError::Schema(_)
+        ));
+        let traced = Request {
+            trace: Some(7),
+            ..hello(1)
+        };
+        assert!(encode_request(&traced).is_err());
     }
 
     #[test]
     fn responses_round_trip_bit_exactly() {
-        let outcome = WireOutcome {
-            offsets: vec![3, -2, 0, 20],
-            epe_per_point: vec![1.25, -0.1, 40.0, f64::MIN_POSITIVE, -1.0e-300],
-            pv_band: 5431.0625,
-            steps: 7,
-        };
         let bodies = vec![
-            ResponseBody::Pong,
-            ResponseBody::ShuttingDown,
-            ResponseBody::Outcome(outcome.clone()),
-            ResponseBody::CaseOutcome {
-                index: 1,
-                total: 3,
-                name: "V2".into(),
-                outcome: outcome.clone(),
-            },
-            ResponseBody::Evaluation {
-                epe_per_point: vec![0.1 + 0.2, 1.0 / 3.0],
-                pv_band: 0.1,
-            },
-            ResponseBody::LayoutReport {
-                tiles: 9,
-                epe_per_point: vec![-0.0, 2.5e-17],
-                pv_band: 1e9 + 0.25,
-            },
+            ResponseBody::HelloAck { version: 2 },
             ResponseBody::Busy { retry_after_ms: 50 },
             ResponseBody::Error {
                 code: ErrorCode::BadRequest,
-                message: "tab\t\"quote\"\nnewline".into(),
+                message: "tab\t\"quote\"\nnewline \\ / ünïcode".into(),
+            },
+            ResponseBody::Error {
+                code: ErrorCode::Internal,
+                message: String::new(),
             },
         ];
         for (i, body) in bodies.into_iter().enumerate() {
             let response = Response { id: i as u64, body };
-            let frame = encode_response(&response).unwrap();
-            let decoded = decode_response(&frame).unwrap();
-            assert_eq!(decoded, response, "frame: {frame}");
-            // PartialEq on f64 treats -0.0 == 0.0; re-check the bits.
-            if let (
-                ResponseBody::LayoutReport {
-                    epe_per_point: a, ..
-                },
-                ResponseBody::LayoutReport {
-                    epe_per_point: b, ..
-                },
-            ) = (&decoded.body, &response.body)
-            {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+            let line = encode_response(&response).unwrap();
+            let decoded = decode_response(&line).unwrap();
+            assert_eq!(decoded, response, "line: {line}");
+            // Canonical text: re-encoding reproduces the line byte for byte.
+            assert_eq!(encode_response(&decoded).unwrap(), line);
         }
+        assert!(matches!(
+            encode_response(&Response {
+                id: 1,
+                body: ResponseBody::Pong,
+            })
+            .unwrap_err(),
+            WireError::Unencodable(_)
+        ));
     }
 
-    #[test]
-    fn metrics_and_restart_round_trip() {
-        let requests = vec![
-            RequestBody::Metrics,
-            RequestBody::Restart { shard: None },
-            RequestBody::Restart { shard: Some(1) },
-        ];
-        for (i, body) in requests.into_iter().enumerate() {
-            let request = Request {
-                id: i as u64,
-                body,
-                trace: None,
-            };
-            let frame = encode_request(&request).unwrap();
-            assert_eq!(decode_request(&frame).unwrap(), request, "frame: {frame}");
-        }
-
-        let report = MetricsReport {
+    /// A router-shaped report with `shards` status rows.
+    fn sample_metrics(shards: usize) -> MetricsReport {
+        let latency = |kind: &str| KindLatency {
+            kind: kind.into(),
+            latency: LatencySnapshot {
+                count: 940,
+                p50_us: 1023,
+                p99_us: 8191,
+                max_us: 7311,
+                buckets: vec![0, 0, 1, 930, 9],
+            },
+        };
+        let status = |index: usize| ShardStatus {
+            index,
+            alive: index == 0,
+            benched: index != 0,
+            forwarded: 500,
+            respawns: 2,
+            queue_depth: 1,
+            in_flight: 1,
+            in_flight_high_water: 4,
+            completed: 498,
+            busy_rejected: 3,
+        };
+        MetricsReport {
             role: "router".into(),
             simd_arch: "avx2".into(),
             queue_depth: 3,
@@ -3187,100 +2163,63 @@ mod tests {
             busy_rejected: 7,
             redispatched: 4,
             respawns: 2,
-            latency: vec![KindLatency {
-                kind: "optimize".into(),
-                latency: LatencySnapshot {
-                    count: 940,
-                    p50_us: 1023,
-                    p99_us: 8191,
-                    max_us: 7311,
-                    buckets: vec![0, 0, 1, 930, 9],
-                },
-            }],
-            stage_latency: vec![KindLatency {
-                kind: "queue-wait".into(),
-                latency: LatencySnapshot {
-                    count: 12,
-                    p50_us: 63,
-                    p99_us: 127,
-                    max_us: 101,
-                    buckets: vec![0, 4, 8],
-                },
-            }],
-            shards: vec![
-                ShardStatus {
-                    index: 0,
-                    alive: true,
-                    benched: false,
-                    forwarded: 500,
-                    respawns: 2,
-                    queue_depth: 1,
-                    in_flight: 1,
-                    in_flight_high_water: 4,
-                    completed: 498,
-                    busy_rejected: 3,
-                },
-                ShardStatus {
-                    index: 1,
-                    alive: false,
-                    benched: true,
-                    forwarded: 440,
-                    respawns: 5,
-                    queue_depth: 0,
-                    in_flight: 0,
-                    in_flight_high_water: 2,
-                    completed: 440,
-                    busy_rejected: 0,
-                },
-            ],
-        };
-        let responses = vec![
-            ResponseBody::Metrics(report),
-            ResponseBody::Metrics(MetricsReport {
-                role: "server".into(),
-                simd_arch: "scalar".into(),
-                queue_depth: 0,
-                queue_high_water: 0,
-                in_flight: 0,
-                in_flight_high_water: 0,
-                completed: 0,
-                busy_rejected: 0,
-                redispatched: 0,
-                respawns: 0,
-                latency: vec![],
-                stage_latency: vec![],
-                shards: vec![],
-            }),
+            latency: vec![latency("optimize")],
+            stage_latency: vec![latency("queue-wait")],
+            shards: (0..shards).map(status).collect(),
+        }
+    }
+
+    #[test]
+    fn metrics_and_restart_round_trip() {
+        for body in [
+            RequestBody::Metrics,
+            RequestBody::Restart { shard: None },
+            RequestBody::Restart { shard: Some(1) },
+        ] {
+            v2_round_trip_request(&Request {
+                id: 4,
+                body,
+                trace: None,
+            });
+        }
+        let responses = [
+            ResponseBody::Metrics(sample_metrics(2)),
+            ResponseBody::Metrics(sample_metrics(0)),
             ResponseBody::Restarted { shards: vec![0, 1] },
             ResponseBody::Restarted { shards: vec![] },
         ];
-        for (i, body) in responses.into_iter().enumerate() {
-            let response = Response { id: i as u64, body };
-            let frame = encode_response(&response).unwrap();
-            assert_eq!(decode_response(&frame).unwrap(), response, "frame: {frame}");
+        for (body, id) in responses.into_iter().zip(0..) {
+            v2_round_trip_response(&Response { id, body });
         }
     }
 
     #[test]
     fn malformed_metrics_fields_are_typed_errors() {
-        // A negative gauge and an unknown latency field must both be
-        // schema errors, not panics or silent acceptance.
-        let err = decode_response(
-            r#"{"id":1,"type":"metrics","role":"server","queue_depth":-1,"queue_high_water":0,"in_flight":0,"in_flight_high_water":0,"completed":0,"busy_rejected":0,"redispatched":0,"respawns":0,"latency":[],"stage_latency":[],"shards":[]}"#,
-        )
-        .unwrap_err();
-        assert!(matches!(err, WireError::Schema(_)), "{err:?}");
-        let err = decode_response(
-            r#"{"id":1,"type":"metrics","role":"server","queue_depth":0,"queue_high_water":0,"in_flight":0,"in_flight_high_water":0,"completed":0,"busy_rejected":0,"redispatched":0,"respawns":0,"latency":[{"kind":"optimize","count":1,"p50_us":1,"p99_us":1,"max_us":1,"buckets":[1],"surprise":0}],"stage_latency":[],"shards":[]}"#,
-        )
-        .unwrap_err();
-        assert!(matches!(err, WireError::Schema(_)), "{err:?}");
+        // A gauge beyond i64 and a shard row whose `alive` byte is not a
+        // bool must both be schema errors, not panics or silent acceptance.
+        let frame = encode_response_v2(&Response {
+            id: 1,
+            body: ResponseBody::Metrics(sample_metrics(1)),
+        })
+        .unwrap();
+        let payload = &frame[5..];
+        // id (8), role (4 + 6), simd_arch (4 + 4), then the first gauge.
+        let gauge_at = 8 + 10 + 8;
+        // The row's `alive` byte precedes its benched byte and its seven
+        // trailing u64 counters, at the end of the payload.
+        let alive_at = payload.len() - 7 * 8 - 1 - 1;
+        for (at, bytes) in [(gauge_at, &u64::MAX.to_le_bytes()[..]), (alive_at, &[7])] {
+            let mut bad = payload.to_vec();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            let err = decode_response_v2(frame[4], &bad).unwrap_err();
+            assert!(matches!(err, WireError::Schema(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn trace_ids_ride_any_request_kind_and_round_trip() {
-        // The trace_id field is orthogonal to the body: absent means
-        // untraced, present must survive encode/decode exactly.
+        // The trace id is orthogonal to the body: absent means untraced,
+        // present must survive encode/decode exactly.
         let traced = Request {
             id: 7,
             body: RequestBody::Optimize {
@@ -3289,95 +2228,89 @@ mod tests {
             },
             trace: Some(42),
         };
-        let frame = encode_request(&traced).unwrap();
-        assert!(frame.contains("\"trace_id\":42"), "frame: {frame}");
-        assert_eq!(decode_request(&frame).unwrap(), traced);
-
+        v2_round_trip_request(&traced);
         let untraced = Request {
             id: 8,
             body: RequestBody::Ping,
             trace: None,
         };
-        let frame = encode_request(&untraced).unwrap();
-        assert!(!frame.contains("trace_id"), "frame: {frame}");
-        assert_eq!(decode_request(&frame).unwrap(), untraced);
-
+        v2_round_trip_request(&untraced);
+        // id, then the option tag: the only byte the trace id changes.
+        let frame = encode_request_v2(&untraced).unwrap();
+        assert_eq!(frame[5 + 8], 0, "untraced frames carry a None tag");
         // The trace *pull* request itself round-trips.
-        let pull = Request {
+        v2_round_trip_request(&Request {
             id: 9,
             body: RequestBody::Trace,
             trace: None,
-        };
-        let frame = encode_request(&pull).unwrap();
-        assert_eq!(decode_request(&frame).unwrap(), pull);
+        });
     }
 
     #[test]
     fn trace_reports_round_trip() {
-        let span = |trace_id: u64, stage: &str, start_us: u64, end_us: u64| SpanRecord {
-            trace_id,
-            stage: stage.into(),
-            start_us,
-            end_us,
+        let spans = |stages: &[&str]| -> Vec<SpanRecord> {
+            (stages.iter().zip(0u64..))
+                .map(|(stage, i)| SpanRecord {
+                    trace_id: 1,
+                    stage: (*stage).into(),
+                    start_us: 10 * i,
+                    end_us: 10 * i + 7,
+                })
+                .collect()
         };
-        let report = TraceReport {
-            role: "router".into(),
-            dropped: 3,
-            spans: vec![
-                span(1, "admit", 10, 12),
-                span(1, "queue-wait", 12, 90),
-                span(1, "forward", 91, 95),
-            ],
-            shards: vec![
-                ShardTrace {
-                    index: 0,
-                    dropped: 0,
-                    spans: vec![
-                        span(1, "shard-queue", 5, 40),
-                        span(1, "coalesce", 40, 41),
-                        span(1, "context-fetch", 41, 44),
-                        span(1, "rasterize", 45, 60),
-                        span(1, "convolve", 60, 80),
-                        span(1, "resist", 80, 81),
-                        span(1, "epe", 81, 88),
-                        span(1, "pv-band", 88, 93),
-                        span(1, "encode", 94, 95),
-                        span(1, "write", 95, 96),
-                    ],
-                },
-                ShardTrace {
-                    index: 1,
-                    dropped: 7,
-                    spans: vec![],
-                },
-            ],
+        let shard = ShardTrace {
+            index: 0,
+            dropped: 0,
+            spans: spans(&[
+                "shard-queue",
+                "coalesce",
+                "context-fetch",
+                "rasterize",
+                "write",
+            ]),
         };
-        let bodies = vec![
-            ResponseBody::Trace(report),
-            ResponseBody::Trace(TraceReport {
+        let reports = [
+            TraceReport {
+                role: "router".into(),
+                dropped: 3,
+                spans: spans(&["admit", "queue-wait", "forward"]),
+                shards: vec![
+                    shard,
+                    ShardTrace {
+                        index: 1,
+                        dropped: 7,
+                        spans: vec![],
+                    },
+                ],
+            },
+            TraceReport {
                 role: "server".into(),
                 dropped: 0,
                 spans: vec![],
                 shards: vec![],
-            }),
+            },
         ];
-        for (i, body) in bodies.into_iter().enumerate() {
-            let response = Response { id: i as u64, body };
-            let frame = encode_response(&response).unwrap();
-            assert_eq!(decode_response(&frame).unwrap(), response, "frame: {frame}");
+        for (report, id) in reports.into_iter().zip(0..) {
+            let response = Response {
+                id,
+                body: ResponseBody::Trace(report),
+            };
+            v2_round_trip_response(&response);
+            // A payload with a byte appended is a schema error.
+            let frame = encode_response_v2(&response).unwrap();
+            let mut padded = frame[5..].to_vec();
+            padded.push(0);
+            assert!(matches!(
+                decode_response_v2(frame[4], &padded).unwrap_err(),
+                WireError::Schema(_)
+            ));
         }
-        // Spans are strict objects: an unknown field is a schema error.
-        let err = decode_response(
-            r#"{"id":1,"type":"trace","role":"server","dropped":0,"spans":[{"trace_id":1,"stage":"admit","start_us":0,"end_us":1,"color":"red"}],"shards":[]}"#,
-        )
-        .unwrap_err();
-        assert!(matches!(err, WireError::Schema(_)), "{err:?}");
     }
 
     #[test]
     fn u64_fields_beyond_i64_are_unencodable_not_corrupted() {
-        // Regression: seeds above i64::MAX used to wrap to negative wire
-        // ints that the decoder rejected, leaving the request unanswerable.
+        // Regression: seeds above i64::MAX once wrapped to values the
+        // decoder rejected, leaving the request unanswerable.
         let request = Request {
             id: 1,
             body: RequestBody::Layout {
@@ -3389,7 +2322,7 @@ mod tests {
             trace: None,
         };
         assert!(matches!(
-            encode_request(&request).unwrap_err(),
+            encode_request_v2(&request).unwrap_err(),
             WireError::Unencodable(_)
         ));
         let camo = Request {
@@ -3404,11 +2337,11 @@ mod tests {
             trace: None,
         };
         assert!(matches!(
-            encode_request(&camo).unwrap_err(),
+            encode_request_v2(&camo).unwrap_err(),
             WireError::Unencodable(_)
         ));
         // At the boundary everything still round-trips.
-        let ok = Request {
+        v2_round_trip_request(&Request {
             id: 3,
             body: RequestBody::Layout {
                 litho: LithoSpec::fast(),
@@ -3417,31 +2350,27 @@ mod tests {
                 tile_nm: 1500,
             },
             trace: None,
-        };
-        let frame = encode_request(&ok).unwrap();
-        assert_eq!(decode_request(&frame).unwrap(), ok);
+        });
+        // The preface shares the rule.
+        assert!(matches!(
+            encode_response(&Response {
+                id: u64::MAX,
+                body: ResponseBody::HelloAck { version: 2 },
+            })
+            .unwrap_err(),
+            WireError::Unencodable(_)
+        ));
     }
 
     #[test]
     fn truncated_frames_are_typed_errors() {
-        let frame = encode_request(&Request {
-            id: 3,
-            body: RequestBody::Optimize {
-                job: JobSpec::fast_calibre_via(),
-                clip: via_clip(),
-            },
-            trace: None,
-        })
-        .unwrap();
-        // Every strict prefix must fail cleanly, mostly as Truncated; never
-        // panic, never succeed.
-        for cut in 0..frame.len() {
-            let err = decode_request(&frame[..cut]).unwrap_err();
+        let line = encode_request(&hello(3)).unwrap();
+        // Every strict prefix must fail cleanly; never panic, never
+        // succeed.
+        for cut in 0..line.len() {
+            let err = decode_request(&line[..cut]).unwrap_err();
             match err {
-                WireError::Truncated
-                | WireError::Syntax { .. }
-                | WireError::BadNumber { .. }
-                | WireError::Schema(_) => {}
+                WireError::Truncated | WireError::Syntax { .. } | WireError::BadNumber { .. } => {}
                 other => panic!("unexpected error {other:?} at cut {cut}"),
             }
         }
@@ -3451,31 +2380,61 @@ mod tests {
     fn extreme_bias_is_a_typed_error_not_a_panic() {
         // Regression: `bias.abs()` panicked (debug) / wrapped (release) on
         // i64::MIN; the range check must reject it cleanly.
-        let frame = format!(
-            "{{\"id\":1,\"type\":\"evaluate\",\"litho\":{{\"preset\":\"fast\"}},\
-             \"layer\":\"via\",\"bias\":{},\"clip\":{{\"name\":\"c\",\"region\":[0,0,100,100],\
-             \"targets\":[[10,10,40,10,40,40,10,40]],\"srafs\":[]}}}}",
-            i64::MIN
-        );
+        let frame = encode_request_v2(&Request {
+            id: 1,
+            body: RequestBody::Evaluate {
+                litho: LithoSpec::fast(),
+                layer: Layer::Via,
+                bias: 0,
+                clip: via_clip(),
+            },
+            trace: None,
+        })
+        .unwrap();
+        // Payload: id (8), trace tag (1), litho (preset 1 + tag 1), layer
+        // (1), then the bias.
+        let bias_at = 8 + 1 + 2 + 1;
+        let mut payload = frame[5..].to_vec();
+        payload[bias_at..bias_at + 8].copy_from_slice(&i64::MIN.to_le_bytes());
         assert!(matches!(
-            decode_request(&frame).unwrap_err(),
+            decode_request_v2(frame[4], &payload).unwrap_err(),
             WireError::Schema(_)
         ));
     }
 
     #[test]
     fn bad_escapes_are_typed_errors() {
-        let err = parse_value(r#"{"name":"bad\qescape"}"#).unwrap_err();
+        let err = decode_response(
+            r#"{"id":0,"type":"error","code":"bad_request","message":"bad\qescape"}"#,
+        )
+        .unwrap_err();
         assert!(matches!(err, WireError::BadEscape { .. }), "{err:?}");
-        let err = parse_value("\"unicode\\u0041 unsupported\"").unwrap_err();
+        let err = decode_response(
+            "{\"id\":0,\"type\":\"error\",\"code\":\"bad_request\",\"message\":\"\\u0041\"}",
+        )
+        .unwrap_err();
         assert!(matches!(err, WireError::BadEscape { .. }), "{err:?}");
     }
 
     #[test]
     fn oversized_frames_are_typed_errors() {
-        let huge = format!("\"{}\"", "x".repeat(MAX_FRAME + 8));
+        let huge = format!(
+            r#"{{"id":1,"type":"hello","version":2,"pad":"{}"}}"#,
+            "x".repeat(MAX_FRAME)
+        );
         assert!(matches!(
-            parse_value(&huge).unwrap_err(),
+            decode_request(&huge).unwrap_err(),
+            WireError::Oversized { .. }
+        ));
+        let error = Response {
+            id: 0,
+            body: ResponseBody::Error {
+                code: ErrorCode::BadRequest,
+                message: "x".repeat(MAX_FRAME),
+            },
+        };
+        assert!(matches!(
+            encode_response(&error).unwrap_err(),
             WireError::Oversized { .. }
         ));
     }
@@ -3483,10 +2442,13 @@ mod tests {
     #[test]
     fn duplicate_and_unknown_fields_are_rejected() {
         assert!(matches!(
-            parse_value(r#"{"a":1,"a":2}"#).unwrap_err(),
+            decode_request(r#"{"id":1,"id":2,"type":"hello","version":2}"#).unwrap_err(),
             WireError::Syntax { .. }
         ));
-        let err = decode_response(r#"{"id":1,"type":"pong","extra":0}"#).unwrap_err();
+        let err =
+            decode_response(r#"{"id":1,"type":"hello_ack","version":2,"extra":0}"#).unwrap_err();
+        assert!(matches!(err, WireError::Schema(_)), "{err:?}");
+        let err = decode_request(r#"{"id":1,"type":"hello"}"#).unwrap_err();
         assert!(matches!(err, WireError::Schema(_)), "{err:?}");
     }
 
@@ -3516,8 +2478,13 @@ mod tests {
 
     #[test]
     fn depth_limit_is_enforced() {
-        let deep = format!("{}1{}", "[".repeat(64), "]".repeat(64));
-        assert_eq!(parse_value(&deep).unwrap_err(), WireError::TooDeep);
+        // The preface grammar is one flat object: any nesting is refused.
+        for line in [
+            r#"{"id":{"id":1},"type":"hello","version":2}"#,
+            r#"{"id":1,"type":"hello","version":[2]}"#,
+        ] {
+            assert_eq!(decode_request(line).unwrap_err(), WireError::TooDeep);
+        }
     }
 
     fn v2_round_trip_request(request: &Request) {
@@ -3635,8 +2602,7 @@ mod tests {
 
     #[test]
     fn v2_round_trips_every_f64_bit_pattern() {
-        // The one deliberate v1/v2 difference: v1 cannot encode non-finite
-        // floats (typed Unencodable), v2 carries raw bit images.
+        // Raw bit images carry every pattern, non-finite ones included.
         let patterns = [
             f64::NAN,
             -f64::NAN,
@@ -3666,11 +2632,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(pv_band.to_bits(), 0xFFF8_DEAD_BEEF_0001);
-        // v1 refuses the same payload with a typed error, never a panic.
-        assert_eq!(
-            encode_response(&response).unwrap_err(),
-            WireError::Unencodable("non-finite float")
-        );
     }
 
     #[test]
@@ -3692,7 +2653,7 @@ mod tests {
             decode_request_v2(frame[4], &frame[5..frame.len() - 1]).unwrap_err(),
             WireError::Truncated
         );
-        // Trailing bytes are rejected like v1 trailing characters.
+        // Trailing bytes are rejected.
         let mut padded = frame[5..].to_vec();
         padded.push(0);
         assert!(matches!(
@@ -3753,42 +2714,11 @@ mod tests {
             WireError::Unencodable("u64 exceeds i64 on the wire")
         );
         // A hostile frame carrying such a value is a schema error on
-        // decode, exactly like v1's integer grammar makes it unparsable.
+        // decode.
         let mut frame = encode_request_parts_v2(1, &RequestBody::Ping, None).unwrap();
         frame[5..13].copy_from_slice(&over.to_le_bytes());
         assert!(matches!(
             decode_request_v2(frame[4], &frame[5..]).unwrap_err(),
-            WireError::Schema(_)
-        ));
-    }
-
-    #[test]
-    fn hello_and_optimize_batch_round_trip_in_v1_too() {
-        let bodies = vec![
-            RequestBody::Hello { version: 2 },
-            RequestBody::OptimizeBatch {
-                job: JobSpec::fast_calibre_via(),
-                clips: vec![via_clip()],
-            },
-        ];
-        for (i, body) in bodies.into_iter().enumerate() {
-            let request = Request {
-                id: i as u64 + 1,
-                body,
-                trace: None,
-            };
-            let frame = encode_request(&request).unwrap();
-            assert_eq!(decode_request(&frame).unwrap(), request, "frame: {frame}");
-        }
-        let ack = Response {
-            id: 1,
-            body: ResponseBody::HelloAck { version: 2 },
-        };
-        let frame = encode_response(&ack).unwrap();
-        assert_eq!(decode_response(&frame).unwrap(), ack);
-        assert!(matches!(
-            decode_request(r#"{"id":1,"type":"optimize_batch","job":{"litho":{"preset":"fast"},"layer":"via","engine":"calibre"},"clips":[]}"#)
-                .unwrap_err(),
             WireError::Schema(_)
         ));
     }

@@ -28,7 +28,6 @@ use camo_serve::shard::{ShardSet, ShardSpec};
 use camo_serve::supervise::RespawnPolicy;
 use camo_serve::wire::{
     EngineKind, JobSpec, Layer, LithoSpec, RequestBody, Response, ResponseBody, WireOutcome,
-    WireVersion,
 };
 use camo_serve::MetricsReport;
 use camo_workloads::{multi_config_stream, RequestStreamParams, ServeCase, TaggedCase};
@@ -322,8 +321,8 @@ fn chaos_soak_kills_random_shards_and_stays_bit_identical() {
     assert!(leaks.is_empty(), "leaked shard processes: {leaks:?}");
 }
 
-/// The v2 variant of the headline soak: a **pipelined** v2 connection
-/// keeps a whole cycle's requests in flight at once (written without
+/// The pipelined variant of the headline soak: one connection keeps a
+/// whole cycle's requests in flight at once (written without
 /// flushing, then flushed together) while a shard is killed mid-stream.
 /// Redispatch dedup must hold per in-flight request — every request
 /// completes exactly once, bit-identical, and no stray duplicate response
@@ -335,12 +334,7 @@ fn pipelined_v2_soak_survives_kills_without_duplicates() {
     let shards = 3usize;
     let per_cycle = 6usize;
     let handle = route_spawned(chaos_config(), spawn_shards(shards)).expect("start router");
-    let mut client = Client::connect_with(handle.addr(), WireVersion::V2).expect("connect with v2");
-    assert_eq!(
-        client.wire(),
-        WireVersion::V2,
-        "the router must negotiate v2 on its client front"
-    );
+    let mut client = Client::connect(handle.addr()).expect("connect");
     let contexts = ContextCache::new(4);
 
     let stream = multi_config_stream(

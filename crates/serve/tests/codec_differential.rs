@@ -1,24 +1,19 @@
-//! Differential property tests for the two wire codecs: every request and
-//! response kind must survive v1 encode→decode and v2 encode→decode as the
-//! identity, and both decodes must agree **bit-exactly** — asserted by
-//! re-encoding each decode to canonical v2 bytes, which embed the raw
-//! `f64::to_bits` images (so `-0.0` vs `0.0` and NaN payloads cannot hide
-//! behind `PartialEq`). Truncating or bit-flipping a v2 frame must always
-//! yield a typed error or a clean reject, never a panic — mirroring the v1
-//! fuzz suite in `wire_properties.rs`.
-//!
-//! The one deliberate v1/v2 difference is covered explicitly: v2 round-trips
-//! every f64 bit pattern (NaN payloads, infinities, subnormals, `-0.0`),
-//! while v1 reports a typed `Unencodable` for non-finite floats.
+//! Property tests for the binary frame codec: every request and response
+//! kind must survive encode→decode as the identity, and the decode must
+//! agree with the source **bit-exactly** — asserted by re-encoding it to
+//! canonical bytes, which embed the raw `f64::to_bits` images (so `-0.0` vs
+//! `0.0` and NaN payloads cannot hide behind `PartialEq`). Every f64 bit
+//! pattern (NaN payloads, infinities, subnormals, `-0.0`) round-trips, and
+//! truncating, bit-flipping or inventing a frame must always yield a typed
+//! error or a clean reject, never a panic.
 
 use camo_geometry::{Clip, Rect};
 use camo_serve::stats::{KindLatency, LatencySnapshot, MetricsReport, ShardStatus};
 use camo_serve::trace::{ShardTrace, SpanRecord, TraceReport};
 use camo_serve::wire::{
-    decode_request, decode_request_v2, decode_response, decode_response_v2, encode_request,
-    encode_request_v2, encode_response, encode_response_v2, read_frame_v2, EngineKind, ErrorCode,
-    FrameV2, JobSpec, Layer, LithoPreset, LithoSpec, Request, RequestBody, Response, ResponseBody,
-    WireOutcome,
+    decode_request_v2, decode_response_v2, encode_request_v2, encode_response_v2, read_frame_v2,
+    EngineKind, ErrorCode, FrameV2, JobSpec, Layer, LithoPreset, LithoSpec, Request, RequestBody,
+    Response, ResponseBody, WireOutcome,
 };
 use proptest::prelude::*;
 
@@ -26,9 +21,8 @@ use proptest::prelude::*;
 // Generators (the clip/job/outcome ones mirror wire_properties.rs)
 // ---------------------------------------------------------------------------
 
-/// Characters both codecs round-trip verbatim. v2 strings are a documented
-/// superset (control characters are legal there); the differential property
-/// generates from the intersection.
+/// Characters the generated names draw from, quotes and backslashes
+/// included.
 const NAME_ALPHABET: &[char] = &[
     'a', 'b', 'k', 'Z', '0', '9', '_', ' ', '.', '-', '/', '"', '\\',
 ];
@@ -101,7 +95,7 @@ fn arb_latency() -> impl Strategy<Value = LatencySnapshot> {
         0u64..1_000_000,
         0u64..1_000_000,
         0u64..1_000_000,
-        // Nonzero entries only: both codecs round-trip buckets verbatim,
+        // Nonzero entries only: the codec round-trips buckets verbatim,
         // and an all-positive vector can never be confused with the
         // snapshot layer's trailing-zero trimming.
         prop::collection::vec(1u64..1_000, 0..6),
@@ -304,7 +298,7 @@ fn response_body(
 }
 
 // ---------------------------------------------------------------------------
-// The differential oracle
+// The canonical-bytes oracle
 // ---------------------------------------------------------------------------
 
 /// Splits a v2 frame into its opcode and payload, checking the length
@@ -316,28 +310,17 @@ fn split_frame(frame: &[u8]) -> (u8, &[u8]) {
     (frame[4], &frame[5..])
 }
 
-/// v1-encode→decode ≡ v2-encode→decode ≡ identity for one request, with
-/// canonical v2 bytes as the bit-exactness fingerprint.
+/// encode→decode ≡ identity for one request, with the canonical bytes as
+/// the bit-exactness fingerprint.
 fn assert_request_differential(request: &Request) {
-    let v1 = encode_request(request).expect("v1 encode");
-    let from_v1 = decode_request(&v1).expect("v1 decode");
-    assert_eq!(&from_v1, request, "v1 round-trip is the identity");
-
-    let v2 = encode_request_v2(request).expect("v2 encode");
+    let v2 = encode_request_v2(request).expect("encode");
     let (opcode, payload) = split_frame(&v2);
-    let from_v2 = decode_request_v2(opcode, payload).expect("v2 decode");
-    assert_eq!(&from_v2, request, "v2 round-trip is the identity");
+    let from_v2 = decode_request_v2(opcode, payload).expect("decode");
+    assert_eq!(&from_v2, request, "the round-trip is the identity");
 
-    // Canonical-bytes oracle: both decodes re-encode to the same v2 bytes,
+    // Canonical-bytes oracle: the decode re-encodes to the same bytes,
     // which embed raw f64 bit images — bit-exact by construction.
-    assert_eq!(
-        encode_request_v2(&from_v1).expect("re-encode v1 decode"),
-        v2
-    );
-    assert_eq!(
-        encode_request_v2(&from_v2).expect("re-encode v2 decode"),
-        v2
-    );
+    assert_eq!(encode_request_v2(&from_v2).expect("re-encode"), v2);
 
     // The frame also survives the framing layer itself.
     let mut stream = std::io::Cursor::new(&v2);
@@ -355,29 +338,17 @@ fn assert_request_differential(request: &Request) {
 
 /// The response-side mirror of [`assert_request_differential`].
 fn assert_response_differential(response: &Response) {
-    let v1 = encode_response(response).expect("v1 encode");
-    let from_v1 = decode_response(&v1).expect("v1 decode");
-    assert_eq!(&from_v1, response, "v1 round-trip is the identity");
-
-    let v2 = encode_response_v2(response).expect("v2 encode");
+    let v2 = encode_response_v2(response).expect("encode");
     let (opcode, payload) = split_frame(&v2);
-    let from_v2 = decode_response_v2(opcode, payload).expect("v2 decode");
-    assert_eq!(&from_v2, response, "v2 round-trip is the identity");
-
-    assert_eq!(
-        encode_response_v2(&from_v1).expect("re-encode v1 decode"),
-        v2
-    );
-    assert_eq!(
-        encode_response_v2(&from_v2).expect("re-encode v2 decode"),
-        v2
-    );
+    let from_v2 = decode_response_v2(opcode, payload).expect("decode");
+    assert_eq!(&from_v2, response, "the round-trip is the identity");
+    assert_eq!(encode_response_v2(&from_v2).expect("re-encode"), v2);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every request kind: v1 ≡ v2 ≡ identity, bit-exactly.
+    /// Every request kind round-trips as the identity, bit-exactly.
     #[test]
     fn requests_differentially_agree(
         kind in 0u32..11,
@@ -393,7 +364,7 @@ proptest! {
         assert_request_differential(&Request { id, body, trace });
     }
 
-    /// Every response kind: v1 ≡ v2 ≡ identity, bit-exactly.
+    /// Every response kind round-trips as the identity, bit-exactly.
     #[test]
     fn responses_differentially_agree(
         kind in 0u32..12,
@@ -408,9 +379,8 @@ proptest! {
         assert_response_differential(&Response { id, body });
     }
 
-    /// v2 carries every f64 bit pattern — NaN payloads, infinities,
-    /// subnormals, `-0.0` — bit-exactly, while v1 refuses non-finite
-    /// floats with a typed error (the documented difference).
+    /// Frames carry every f64 bit pattern — NaN payloads, infinities,
+    /// subnormals, `-0.0` — bit-exactly.
     #[test]
     fn v2_round_trips_arbitrary_f64_bits(
         bits in prop::collection::vec(0u64..=u64::MAX, 1..8),
@@ -421,7 +391,7 @@ proptest! {
         let pv_band = f64::from_bits(pv_bits);
         let response = Response {
             id,
-            body: ResponseBody::Evaluation { epe_per_point: epe_per_point.clone(), pv_band },
+            body: ResponseBody::Evaluation { epe_per_point, pv_band },
         };
         let v2 = encode_response_v2(&response).unwrap();
         let (opcode, payload) = split_frame(&v2);
@@ -434,13 +404,6 @@ proptest! {
             bits
         );
         prop_assert_eq!(got_pv.to_bits(), pv_bits);
-
-        let finite = epe_per_point.iter().all(|f| f.is_finite()) && pv_band.is_finite();
-        if finite {
-            assert_response_differential(&response);
-        } else {
-            prop_assert!(encode_response(&response).is_err(), "v1 must refuse non-finite floats");
-        }
     }
 
     /// Truncating a v2 frame anywhere is a typed error (payload level) or a
@@ -468,7 +431,7 @@ proptest! {
         }
 
         // Framing-level truncation: a partial frame at EOF reads as None
-        // (dropped, like a v1 unterminated line), never a panic.
+        // (dropped), never a panic.
         let stream_cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
         let mut stream = std::io::Cursor::new(&frame[..stream_cut]);
         prop_assert!(matches!(read_frame_v2(&mut stream), Ok(None)));

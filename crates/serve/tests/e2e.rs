@@ -1,16 +1,22 @@
 //! End-to-end server tests: results over TCP are **bit-identical** to
 //! direct `camo-runtime` calls, backpressure is a typed rejection, hostile
-//! frames never kill a connection, and shutdown is graceful.
+//! frames never kill a connection, a connection that does not open with
+//! the `hello` preface is refused and closed, and shutdown is graceful.
 
 use camo_geometry::{Clip, Rect};
 use camo_litho::LithoSimulator;
-use camo_serve::client::{collect_responses, Client, Completed};
+use camo_serve::client::{collect_responses, Client, ClientError, Completed};
 use camo_serve::exec::{evaluate_mask, run_layout, run_optimize, run_sweep};
 use camo_serve::server::{serve, ServerConfig};
 use camo_serve::wire::{
-    EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome,
+    decode_response, decode_response_v2, encode_request, encode_request_parts_v2, read_frame,
+    read_frame_v2, EngineKind, ErrorCode, Frame, FrameV2, JobSpec, Layer, LithoSpec, Opcode,
+    Request, RequestBody, Response, ResponseBody, WireOutcome, MAX_FRAME_V2,
 };
 use camo_workloads::{via_test_set, LayoutParams};
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn test_clip(offset: i64) -> Clip {
     let mut clip = Clip::with_name(Rect::new(0, 0, 900, 900), format!("E{offset}"));
@@ -250,29 +256,64 @@ fn saturated_queue_returns_typed_backpressure() {
     assert_eq!(stats.rejected, 2);
 }
 
-/// Hostile frames (garbage, truncated JSON, oversized lines) produce typed
-/// error responses and leave the connection usable.
+/// Opens a raw connection, sends its `hello` preface line and returns the
+/// stream (for writing) plus a reader positioned after the `hello_ack`.
+fn raw_v2_connection(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let hello = encode_request(&Request {
+        id: 1,
+        body: RequestBody::Hello { version: 2 },
+        trace: None,
+    })
+    .unwrap();
+    raw.write_all(format!("{hello}\n").as_bytes()).unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Some(Frame::Line(line)) => assert!(matches!(
+            decode_response(&line).unwrap().body,
+            ResponseBody::HelloAck { version: 2 }
+        )),
+        other => panic!("expected a hello_ack line, got {other:?}"),
+    }
+    (raw, reader)
+}
+
+/// Reads one binary response frame from a raw connection.
+fn recv_raw(reader: &mut BufReader<TcpStream>) -> Response {
+    match read_frame_v2(reader).unwrap() {
+        Some(FrameV2::Frame { opcode, payload }) => decode_response_v2(opcode, &payload).unwrap(),
+        other => panic!("expected a response frame, got {other:?}"),
+    }
+}
+
+/// Hostile binary frames after the preface (an unknown opcode, a truncated
+/// payload) produce typed errors and leave the connection usable; an
+/// oversized length header, which cannot be re-framed, earns one typed
+/// error and closes the connection.
 #[test]
 fn malformed_frames_get_typed_errors_and_connection_survives() {
-    use std::io::Write;
     let handle = serve(ServerConfig::default()).expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Reach under the typed client to inject hostile bytes.
-    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
-    raw.write_all(b"this is not json\n").unwrap();
-    raw.write_all(b"{\"id\":5,\"type\":\"optimize\"\n").unwrap();
-    let huge = vec![b'x'; camo_serve::wire::MAX_FRAME + 64];
-    raw.write_all(&huge).unwrap();
-    raw.write_all(b"\n").unwrap();
-    raw.write_all(b"{\"id\":6,\"type\":\"ping\"}\n").unwrap();
-    raw.flush().unwrap();
-    let mut raw_reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let (mut raw, mut reader) = raw_v2_connection(handle.addr());
+    raw.write_all(&[4, 0, 0, 0, 0x7F, 1, 2, 3, 4]).unwrap();
+    let optimize = RequestBody::Optimize {
+        job: job(1),
+        clip: test_clip(0),
+    };
+    let full = encode_request_parts_v2(5, &optimize, None).unwrap();
+    let cut = &full[5..full.len() - 8];
+    raw.write_all(&(cut.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&[full[4]]).unwrap();
+    raw.write_all(cut).unwrap();
+    raw.write_all(&encode_request_parts_v2(6, &RequestBody::Ping, None).unwrap())
+        .unwrap();
     let mut errors = 0;
     loop {
-        let mut line = String::new();
-        std::io::BufRead::read_line(&mut raw_reader, &mut line).unwrap();
-        let response = camo_serve::wire::decode_response(line.trim_end()).unwrap();
+        let response = recv_raw(&mut reader);
         match response.body {
             ResponseBody::Error { .. } => errors += 1,
             ResponseBody::Pong => {
@@ -282,7 +323,22 @@ fn malformed_frames_get_typed_errors_and_connection_survives() {
             other => panic!("unexpected body {other:?}"),
         }
     }
-    assert_eq!(errors, 3, "each hostile frame earns one typed error");
+    assert_eq!(errors, 2, "each hostile frame earns one typed error");
+
+    raw.write_all(&(MAX_FRAME_V2 as u32 + 1).to_le_bytes())
+        .unwrap();
+    raw.write_all(&[Opcode::Ping as u8]).unwrap();
+    assert!(matches!(
+        recv_raw(&mut reader).body,
+        ResponseBody::Error {
+            code: ErrorCode::BadRequest,
+            ..
+        }
+    ));
+    assert!(
+        read_frame_v2(&mut reader).unwrap().is_none(),
+        "an oversized header closes the connection"
+    );
 
     // The typed client on its own connection is unaffected throughout.
     let id = client.send(RequestBody::Ping).unwrap();
@@ -292,7 +348,47 @@ fn malformed_frames_get_typed_errors_and_connection_survives() {
     handle.shutdown();
 }
 
-/// The connection cap turns extra connections away with a `busy` frame.
+/// A connection whose first line is anything but a `hello` naming version
+/// 2 — a `ping` request line, or a `hello` for version 3 — gets one text
+/// `bad_request` line, then EOF.
+#[test]
+fn first_lines_other_than_hello_v2_are_refused_and_closed() {
+    let handle = serve(ServerConfig::default()).expect("bind");
+    for first_line in [
+        r#"{"id":1,"type":"ping"}"#,
+        r#"{"id":1,"type":"hello","version":3}"#,
+    ] {
+        let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        raw.write_all(format!("{first_line}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(raw);
+        let Ok(Some(Frame::Line(line))) = read_frame(&mut reader) else {
+            panic!("{first_line}: expected one text reply line");
+        };
+        let reply = decode_response(&line).unwrap().body;
+        assert!(
+            matches!(
+                reply,
+                ResponseBody::Error {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "{first_line}: {reply:?}"
+        );
+        let mut rest = Vec::new();
+        reader
+            .read_to_end(&mut rest)
+            .expect("the server closes the connection");
+        assert!(rest.is_empty(), "{first_line}: nothing follows the refusal");
+    }
+    handle.shutdown();
+}
+
+/// The connection cap turns extra connections away: the over-cap
+/// connection's preface is answered with a typed `busy` carrying the
+/// retry hint, so `Client::connect` fails with it.
 #[test]
 fn connection_cap_rejects_extra_connections() {
     let handle = serve(ServerConfig {
@@ -304,23 +400,22 @@ fn connection_cap_rejects_extra_connections() {
     let id = first.send(RequestBody::Ping).unwrap();
     assert!(matches!(
         first.recv().unwrap().unwrap(),
-        camo_serve::wire::Response {
+        Response {
+            id: got,
             body: ResponseBody::Pong,
-            ..
-        } if id == 1
+        } if got == id
     ));
-    let mut second = Client::connect(handle.addr()).expect("tcp connect succeeds");
-    match second.recv().expect("busy frame") {
-        Some(response) => {
-            assert_eq!(response.id, 0);
-            assert!(matches!(response.body, ResponseBody::Busy { .. }));
-        }
-        None => panic!("expected a busy frame before close"),
+    match Client::connect(handle.addr()).map(|_| ()) {
+        Err(ClientError::Refused(body)) => assert!(
+            matches!(
+                *body,
+                ResponseBody::Busy { retry_after_ms }
+                    if retry_after_ms == ServerConfig::default().retry_after_ms
+            ),
+            "expected a typed busy carrying the retry hint, got {body:?}"
+        ),
+        other => panic!("an over-cap connection must be refused with busy, got {other:?}"),
     }
-    assert!(
-        second.recv().expect("clean close").is_none(),
-        "rejected connection is closed"
-    );
     handle.shutdown();
 }
 

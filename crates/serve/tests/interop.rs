@@ -1,9 +1,9 @@
-//! Wire-version interoperability matrix: {v1 client, v2 client} ×
-//! {v1-only server, v2 server, routed 2-shard tier} must all serve
-//! **bit-identical** results (`f64::to_bits` against a direct offline run),
-//! the v2 client must fall back cleanly when the handshake is refused, and
-//! the `optimize_batch` request must match per-clip offline outcomes in
-//! both wire versions.
+//! Client/server interoperability matrix: the typed client, sending its
+//! requests one flush at a time or pipelined behind a single flush, against
+//! in-process servers at one and two worker threads and against a routed
+//! 2-shard tier. Every cell must serve **bit-identical** results
+//! (`f64::to_bits` against a direct offline run), for per-clip `optimize`
+//! requests and for the multi-clip `optimize_batch` request alike.
 
 use camo_geometry::{Clip, Rect};
 use camo_litho::LithoSimulator;
@@ -13,7 +13,7 @@ use camo_serve::router::{route_spawned, RouterConfig};
 use camo_serve::server::{serve, ServerConfig};
 use camo_serve::shard::{ShardSet, ShardSpec};
 use camo_serve::wire::{
-    EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome, WireVersion,
+    EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome,
 };
 use std::net::SocketAddr;
 
@@ -68,37 +68,45 @@ fn offline_outcomes(job: &JobSpec, clips: &[Clip]) -> Vec<camo_baselines::OpcOut
     run_optimize(job, clips, &sim, 1)
 }
 
-/// Drives one cell of the matrix: connects with `wire`, checks what was
-/// actually negotiated, sends per-clip `optimize` requests plus one
-/// `optimize_batch`, and diffs everything against the offline run.
-fn exercise(addr: SocketAddr, wire: WireVersion, negotiated: WireVersion, what: &str) {
-    let mut client = Client::connect_with(addr, wire).expect("connect");
-    assert_eq!(client.wire(), negotiated, "{what}: negotiated wire version");
+/// How a matrix cell puts its requests on the connection.
+#[derive(Clone, Copy, Debug)]
+enum Sending {
+    /// `send`: each request flushed on its own.
+    OneByOne,
+    /// `send_pipelined` for every request, then one `flush`.
+    Pipelined,
+}
+
+/// Drives one cell of the matrix: connects (the `hello` preface included),
+/// sends per-clip `optimize` requests plus one `optimize_batch` the way
+/// `sending` says, and diffs everything against the offline run.
+fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
+    let mut client = Client::connect(addr).expect("connect");
 
     let job = job(3);
     let clips: Vec<Clip> = (0..3).map(test_clip).collect();
     let offline = offline_outcomes(&job, &clips);
 
-    let mut ids = Vec::new();
-    for clip in &clips {
-        ids.push(
-            client
-                .send(RequestBody::Optimize {
-                    job: job.clone(),
-                    clip: clip.clone(),
-                })
-                .unwrap(),
-        );
-    }
-    let batch_id = client
-        .send(RequestBody::OptimizeBatch {
+    let mut bodies: Vec<RequestBody> = clips
+        .iter()
+        .map(|clip| RequestBody::Optimize {
             job: job.clone(),
-            clips: clips.clone(),
+            clip: clip.clone(),
         })
-        .unwrap();
-
-    let mut all_ids = ids.clone();
-    all_ids.push(batch_id);
+        .collect();
+    bodies.push(RequestBody::OptimizeBatch {
+        job: job.clone(),
+        clips: clips.clone(),
+    });
+    let mut all_ids = Vec::new();
+    for body in bodies {
+        all_ids.push(match sending {
+            Sending::OneByOne => client.send(body).unwrap(),
+            Sending::Pipelined => client.send_pipelined(body).unwrap(),
+        });
+    }
+    client.flush().unwrap();
+    let (ids, batch_id) = (&all_ids[..clips.len()], all_ids[clips.len()]);
     let mut results = collect_responses(&mut client, &all_ids).expect("responses");
 
     for (i, id) in ids.iter().enumerate() {
@@ -138,70 +146,38 @@ fn exercise(addr: SocketAddr, wire: WireVersion, negotiated: WireVersion, what: 
     }
 }
 
-/// The full interop matrix against in-process servers: a v1-pinned server
-/// refuses the handshake (v2 clients fall back to v1 silently), a v2
-/// server upgrades v2 clients while still serving v1 ones, and every cell
-/// is bit-identical to offline.
+/// The matrix against in-process servers: one and two worker threads, each
+/// fed one-by-one and pipelined, every cell bit-identical to offline.
 #[test]
 fn client_server_matrix_is_bit_identical() {
-    for server_wire in [WireVersion::V1, WireVersion::V2] {
+    for threads in [1usize, 2] {
         let handle = serve(ServerConfig {
-            threads: 1,
-            wire: server_wire,
+            threads,
             ..ServerConfig::default()
         })
         .expect("bind");
-        for client_wire in [WireVersion::V1, WireVersion::V2] {
-            // A v2 client only ends up on v2 when the server negotiates it.
-            let negotiated = if client_wire == WireVersion::V2 && server_wire == WireVersion::V2 {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
+        for sending in [Sending::OneByOne, Sending::Pipelined] {
             exercise(
                 handle.addr(),
-                client_wire,
-                negotiated,
-                &format!("client {client_wire:?} vs server {server_wire:?}"),
+                sending,
+                &format!("{sending:?} client vs {threads}-thread server"),
             );
         }
         handle.shutdown();
     }
 }
 
-/// Both client wire versions against a routed 2-shard tier (whose shard
-/// channels negotiate v2 independently of the clients) stay bit-identical
-/// to offline.
+/// Both sending modes against a routed 2-shard tier (whose shard channels
+/// make their own `hello` handshake) stay bit-identical to offline.
 #[test]
 fn routed_tier_matrix_is_bit_identical() {
     let handle = route_spawned(RouterConfig::default(), spawn_shards(2)).expect("start router");
-    for client_wire in [WireVersion::V1, WireVersion::V2] {
+    for sending in [Sending::OneByOne, Sending::Pipelined] {
         exercise(
             handle.addr(),
-            client_wire,
-            client_wire,
-            &format!("client {client_wire:?} vs routed tier"),
+            sending,
+            &format!("{sending:?} client vs routed tier"),
         );
     }
-    handle.shutdown();
-}
-
-/// A router pinned to v1 on both planes still serves v2-requesting clients
-/// (they fall back) bit-identically — the "every current client keeps
-/// working" guarantee in reverse.
-#[test]
-fn v1_pinned_router_refuses_handshake_and_still_serves() {
-    let config = RouterConfig {
-        wire: WireVersion::V1,
-        shard_wire: WireVersion::V1,
-        ..RouterConfig::default()
-    };
-    let handle = route_spawned(config, spawn_shards(2)).expect("start router");
-    exercise(
-        handle.addr(),
-        WireVersion::V2,
-        WireVersion::V1,
-        "client v2 vs v1-pinned router",
-    );
     handle.shutdown();
 }

@@ -17,12 +17,13 @@ use camo_serve::router::{route, route_spawned, shard_preference, RouterConfig};
 use camo_serve::shard::{ShardSet, ShardSpec};
 use camo_serve::supervise::RespawnPolicy;
 use camo_serve::wire::{
-    EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome,
+    decode_request, encode_response, read_frame_v2, EngineKind, FrameV2, JobSpec, Layer, LithoSpec,
+    Opcode, RequestBody, Response, ResponseBody, WireOutcome,
 };
 use camo_serve::{serve, ServerConfig};
 use camo_workloads::{via_test_set, LayoutParams};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 fn test_clip(offset: i64) -> Clip {
@@ -285,7 +286,7 @@ fn killing_a_shard_mid_stream_stays_bit_identical() {
 
 /// A fake shard: accepts the router's channel and runs `script` over it.
 /// Returns the listener's address.
-fn fake_shard(script: impl FnOnce(std::net::TcpStream) + Send + 'static) -> SocketAddr {
+fn fake_shard(script: impl FnOnce(TcpStream) + Send + 'static) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
     let addr = listener.local_addr().expect("fake addr");
     std::thread::spawn(move || {
@@ -294,6 +295,24 @@ fn fake_shard(script: impl FnOnce(std::net::TcpStream) + Send + 'static) -> Sock
         }
     });
     addr
+}
+
+/// A fake shard's side of the `hello` preface: acks the router's hello and
+/// returns a reader positioned at the first binary frame.
+fn ack_hello(stream: &TcpStream) -> BufReader<TcpStream> {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello line");
+    let hello = decode_request(line.trim_end()).expect("a hello preface");
+    let ack = encode_response(&Response {
+        id: hello.id,
+        body: ResponseBody::HelloAck { version: 2 },
+    })
+    .expect("encode ack");
+    let mut w = stream;
+    w.write_all(format!("{ack}\n").as_bytes())
+        .expect("send ack");
+    reader
 }
 
 /// Orders `[special, real]` so that the *special* (fake) shard is the one
@@ -317,16 +336,11 @@ fn addrs_with_preferred(
 fn malformed_backend_frame_fails_the_shard_and_work_recomputes() {
     let real = serve(ServerConfig::default()).expect("real shard");
     let fake_addr = fake_shard(|stream| {
-        // Ignore pings; answer the first *queued* request kind with a
-        // frame that does not decode.
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return;
-            }
-            if line.contains("\"optimize\"") {
+        // Ack the preface and ignore probes; answer the first *queued*
+        // request kind with bytes that do not frame.
+        let mut reader = ack_hello(&stream);
+        while let Ok(Some(FrameV2::Frame { opcode, .. })) = read_frame_v2(&mut reader) {
+            if opcode == Opcode::Optimize as u8 {
                 let mut w = &stream;
                 let _ = w.write_all(b"this is not a frame\n");
                 let _ = w.flush();
@@ -367,12 +381,10 @@ fn malformed_backend_frame_fails_the_shard_and_work_recomputes() {
 fn hung_shard_times_out_and_work_retries_elsewhere() {
     let real = serve(ServerConfig::default()).expect("real shard");
     let fake_addr = fake_shard(|stream| {
-        // Swallow everything, say nothing, hold the connection open.
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        while reader.read_line(&mut line).unwrap_or(0) > 0 {
-            line.clear();
-        }
+        // Ack the preface, then swallow everything, say nothing, hold the
+        // connection open.
+        let mut reader = ack_hello(&stream);
+        let _ = std::io::copy(&mut reader, &mut std::io::sink());
     });
 
     let job = job(2);

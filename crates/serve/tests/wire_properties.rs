@@ -1,145 +1,93 @@
-//! Property tests for the wire codec and the response correlation layer:
-//! round-trips are exact, malformed frames are typed errors (never panics),
-//! and the router reassembles out-of-order completion streams.
+//! Property tests for the text preface and the response correlation
+//! layer: preface lines round-trip exactly, malformed lines are typed
+//! errors (never panics — the server parses every connection's first line
+//! from an untrusted peer), and the router reassembles out-of-order
+//! completion streams.
 
-use camo_geometry::{Clip, Rect};
 use camo_serve::client::{Completed, ResponseRouter};
 use camo_serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, parse_value, EngineKind,
-    JobSpec, Layer, LithoPreset, LithoSpec, Request, RequestBody, Response, ResponseBody,
-    WireOutcome,
+    decode_request, decode_response, encode_request, encode_response, ErrorCode, Request,
+    RequestBody, Response, ResponseBody, WireOutcome,
 };
 use proptest::prelude::*;
 
-fn arb_clip() -> impl Strategy<Value = Clip> {
-    (
-        0usize..3,
-        100i64..400,
-        prop::collection::vec((0i64..8, 0i64..8, 1i64..8, 1i64..8), 1..4),
-    )
-        .prop_map(|(srafs, size, boxes)| {
-            let mut clip = Clip::with_name(Rect::new(0, 0, 4000, 4000), "P");
-            for (gx, gy, w, h) in &boxes {
-                let x = 100 + gx * 450;
-                let y = 100 + gy * 450;
-                clip.add_target(Rect::new(x, y, x + w * 40, y + h * 40).to_polygon());
-            }
-            clip.add_target(Rect::new(3600 - size, 3600 - size, 3600, 3600).to_polygon());
-            for s in 0..srafs {
-                let x = 200 + 120 * s as i64;
-                clip.add_sraf(Rect::new(x, 3800, x + 20, 3900));
-            }
-            clip
-        })
+/// Message text drawn from characters the preface escapes (quote,
+/// backslash, newline, tab) and plain ones, non-ASCII included.
+fn arb_message() -> impl Strategy<Value = String> {
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\r', 'é', '→',
+    ];
+    prop::collection::vec(0usize..ALPHABET.len(), 0..40)
+        .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
-fn arb_job() -> impl Strategy<Value = JobSpec> {
-    (0u64..3, 0u32..2, 0u32..2, 0usize..4).prop_map(|(seed, engine, layer, steps)| JobSpec {
-        litho: LithoSpec {
-            preset: if seed % 2 == 0 {
-                LithoPreset::Fast
-            } else {
-                LithoPreset::Default
+fn arb_preface_reply() -> impl Strategy<Value = Response> {
+    (0u64..1_000_000, 0u32..4, arb_message(), 0u64..100_000).prop_map(|(id, kind, message, n)| {
+        Response {
+            id,
+            body: match kind {
+                0 => ResponseBody::HelloAck { version: n as u32 },
+                1 => ResponseBody::Busy { retry_after_ms: n },
+                2 => ResponseBody::Error {
+                    code: ErrorCode::BadRequest,
+                    message,
+                },
+                _ => ResponseBody::Error {
+                    code: if n % 2 == 0 {
+                        ErrorCode::Overloaded
+                    } else {
+                        ErrorCode::Internal
+                    },
+                    message,
+                },
             },
-            pixel_size: if seed == 2 { Some(10) } else { None },
-        },
-        layer: if layer == 0 { Layer::Via } else { Layer::Metal },
-        engine: if engine == 0 {
-            EngineKind::Calibre
-        } else {
-            EngineKind::Camo { seed }
-        },
-        max_steps: if steps == 0 { None } else { Some(steps) },
+        }
     })
-}
-
-fn arb_outcome() -> impl Strategy<Value = WireOutcome> {
-    (
-        prop::collection::vec(-20i64..=20, 1..24),
-        prop::collection::vec(-40.0f64..40.0, 1..24),
-        0.0f64..1.0e7,
-        0usize..16,
-    )
-        .prop_map(|(offsets, epe_per_point, pv_band, steps)| WireOutcome {
-            offsets,
-            epe_per_point,
-            pv_band,
-            steps,
-        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Requests of every kind survive encode → decode unchanged.
+    /// A `hello` of any id and version survives encode → decode unchanged.
     #[test]
-    fn requests_round_trip(job in arb_job(), clip in arb_clip(), id in 0u64..1_000_000, kind in 0u32..4, bias in -20i64..=20) {
-        let body = match kind {
-            0 => RequestBody::Optimize { job, clip },
-            1 => RequestBody::Evaluate { litho: job.litho, layer: job.layer, bias, clip },
-            2 => RequestBody::Sweep {
-                job,
-                cases: vec![("a".to_string(), clip.clone()), ("b".to_string(), clip)],
-            },
-            _ => RequestBody::Layout {
-                litho: job.litho,
-                params: camo_workloads::LayoutParams::smoke(),
-                seed: id,
-                tile_nm: 1500,
-            },
-        };
-        let request = Request { id, body, trace: if id % 3 == 0 { Some(id + 1) } else { None } };
-        let frame = encode_request(&request).unwrap();
-        prop_assert_eq!(decode_request(&frame).unwrap(), request);
+    fn requests_round_trip(id in 0u64..=(i64::MAX as u64), version in 0u32..=u32::MAX) {
+        let request = Request { id, body: RequestBody::Hello { version }, trace: None };
+        let line = encode_request(&request).unwrap();
+        prop_assert_eq!(decode_request(&line).unwrap(), request);
     }
 
-    /// Responses round-trip with bit-exact floats.
+    /// Preface replies round-trip, and re-encoding the decode reproduces
+    /// the line byte for byte.
     #[test]
-    fn responses_round_trip_bit_exactly(outcome in arb_outcome(), id in 0u64..1_000_000, kind in 0u32..3) {
-        let body = match kind {
-            0 => ResponseBody::Outcome(outcome.clone()),
-            1 => ResponseBody::CaseOutcome { index: 0, total: 1, name: "c".into(), outcome: outcome.clone() },
-            _ => ResponseBody::LayoutReport {
-                tiles: outcome.steps + 1,
-                epe_per_point: outcome.epe_per_point.clone(),
-                pv_band: outcome.pv_band,
-            },
-        };
-        let response = Response { id, body };
-        let frame = encode_response(&response).unwrap();
-        let decoded = decode_response(&frame).unwrap();
+    fn responses_round_trip_bit_exactly(response in arb_preface_reply()) {
+        let line = encode_response(&response).unwrap();
+        let decoded = decode_response(&line).unwrap();
         prop_assert_eq!(&decoded, &response);
-        let (a, b) = match (&decoded.body, &response.body) {
-            (ResponseBody::Outcome(x), ResponseBody::Outcome(y)) => (x, y),
-            (ResponseBody::CaseOutcome { outcome: x, .. }, ResponseBody::CaseOutcome { outcome: y, .. }) => (x, y),
-            _ => (&outcome, &outcome),
-        };
-        for (x, y) in a.epe_per_point.iter().zip(&b.epe_per_point) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-        prop_assert_eq!(a.pv_band.to_bits(), b.pv_band.to_bits());
+        prop_assert_eq!(encode_response(&decoded).unwrap(), line);
     }
 
-    /// Truncating a valid frame anywhere yields a typed error, never a
+    /// Truncating a valid line anywhere yields a typed error, never a
     /// panic and never a bogus success.
     #[test]
-    fn truncated_frames_fail_cleanly(job in arb_job(), clip in arb_clip(), cut_frac in 0.0f64..1.0) {
-        let frame = encode_request(&Request { id: 1, body: RequestBody::Optimize { job, clip }, trace: None }).unwrap();
-        let cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
-        prop_assert!(decode_request(&frame[..cut]).is_err());
+    fn truncated_frames_fail_cleanly(response in arb_preface_reply(), cut_frac in 0.0f64..1.0) {
+        let line = encode_response(&response).unwrap();
+        let mut cut = ((line.len() as f64 * cut_frac) as usize).min(line.len() - 1);
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        prop_assert!(decode_response(&line[..cut]).is_err());
     }
 
     /// Byte-level mutations either decode to something (rarely) or fail
-    /// with a typed error — the decoder never panics on corrupt frames.
+    /// with a typed error — the decoders never panic on corrupt lines.
     #[test]
-    fn mutated_frames_never_panic(outcome in arb_outcome(), pos_frac in 0.0f64..1.0, byte in 0u32..256) {
-        let frame = encode_response(&Response { id: 9, body: ResponseBody::Outcome(outcome) }).unwrap();
-        let mut bytes = frame.into_bytes();
+    fn mutated_frames_never_panic(response in arb_preface_reply(), pos_frac in 0.0f64..1.0, byte in 0u32..256) {
+        let mut bytes = encode_response(&response).unwrap().into_bytes();
         let pos = ((bytes.len() as f64 * pos_frac) as usize).min(bytes.len() - 1);
         bytes[pos] = byte as u8;
         if let Ok(mutated) = String::from_utf8(bytes) {
             let _ = decode_response(&mutated);
-            let _ = parse_value(&mutated);
+            let _ = decode_request(&mutated);
         }
     }
 
@@ -147,7 +95,6 @@ proptest! {
     #[test]
     fn garbage_never_panics(bytes in prop::collection::vec(0u32..128, 0..200)) {
         let line: String = bytes.iter().filter_map(|&b| char::from_u32(b)).collect();
-        let _ = parse_value(&line);
         let _ = decode_request(&line);
         let _ = decode_response(&line);
     }
