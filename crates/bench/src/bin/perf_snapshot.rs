@@ -19,15 +19,10 @@
 //! on every PR so batch-determinism or throughput regressions surface
 //! immediately.
 //!
-//! The **simd section** always runs: every backend the host detects
-//! (scalar, and SSE2/AVX2 where available) is micro-benched on the three
-//! hot kernels (coverage rasterisation, separable convolution, EPE sweep)
-//! with each result verified bit-identical to the scalar backend — exit 1
-//! on any divergence. The `simd digest …` lines depend only on result
-//! bits, so CI diffs them between `CAMO_SIMD=scalar` and `CAMO_SIMD=auto`
-//! quick runs as an end-to-end dispatch-parity gate. A sparse-refresh row
-//! records how many pixels a two-distant-moves incremental step actually
-//! re-rasterised vs the dense union dirty window.
+//! The **sparse-refresh row** always runs: it records how many pixels a
+//! two-distant-moves incremental step actually re-rasterised vs the dense
+//! union dirty window, and exits 1 if the step fell back to a dense
+//! refresh.
 //!
 //! `--layout` adds the layout-scale section (it always runs in full mode):
 //! a generated multi-tile layout is swept through the tiler at 1/2 threads
@@ -97,15 +92,6 @@ impl Row {
     }
 }
 
-/// Per-arch kernel micro-bench: one row per (op, backend) pair, verified
-/// bit-identical to the scalar backend before the rate is recorded.
-struct SimdRow {
-    op: &'static str,
-    arch: &'static str,
-    ops_per_s: f64,
-    speedup_vs_scalar: f64,
-}
-
 /// Pixel accounting of one bitmask-sparse incremental refresh with two
 /// distant simultaneous moves: the sparse path re-rasterises only the
 /// marked spans of the union dirty window.
@@ -119,18 +105,6 @@ impl SparseRefreshRow {
     fn skip_ratio(&self) -> f64 {
         self.dirty_window_pixels as f64 / self.rasterized_pixels.max(1) as f64
     }
-}
-
-/// FNV-1a over the exact bit patterns of a value stream: the digest two
-/// `CAMO_SIMD` settings must agree on for the CI bit-identity diff.
-fn bits_digest(values: impl Iterator<Item = f64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Batch throughput of `optimize_batch` at one pool size.
@@ -925,136 +899,6 @@ fn main() {
         reference_ns: None,
     });
 
-    // SIMD section: every backend the host detects is micro-benched on the
-    // three hot kernels — coverage rasterisation, separable convolution and
-    // the EPE threshold sweep — and each result is verified bit-identical
-    // to the scalar backend (exit 1 on divergence). The digest lines this
-    // section prints depend only on result bits, so CI can diff them
-    // between `CAMO_SIMD=scalar` and `CAMO_SIMD=auto` runs.
-    use camo_litho::aerial::{aerial_image_on, convolve_separable_on, rasterize_mask_on};
-    use camo_litho::epe::measure_epe_on;
-    use camo_litho::simd::{self, ArchId};
-    use camo_litho::{GaussianKernel, OpticalModel, ProcessCorner};
-
-    let arches = simd::detected();
-    let threshold = sim.threshold(ProcessCorner::nominal());
-    let points = &mask.fragments().measure_points;
-    let conv_taps = GaussianKernel::new(1.0, 25.0).taps(config.pixel_size, 0.0);
-    let model = OpticalModel::default_dac_node();
-    let scalar_raster = rasterize_mask_on(ArchId::Scalar, &mask, config.pixel_size, guard);
-    let scalar_conv = convolve_separable_on(ArchId::Scalar, &scalar_raster, &conv_taps);
-    let scalar_intensity = aerial_image_on(ArchId::Scalar, &scalar_raster, &model, 0.0);
-    let scalar_epe = measure_epe_on(
-        ArchId::Scalar,
-        &scalar_intensity,
-        threshold,
-        points,
-        config.epe_search_range,
-    );
-    let mut simd_rows: Vec<SimdRow> = Vec::new();
-    let mut scalar_rates: [f64; 3] = [0.0; 3];
-    for &arch in arches {
-        let raster = rasterize_mask_on(arch, &mask, config.pixel_size, guard);
-        let conv = convolve_separable_on(arch, &scalar_raster, &conv_taps);
-        let intensity = aerial_image_on(arch, &scalar_raster, &model, 0.0);
-        let epe = measure_epe_on(
-            arch,
-            &scalar_intensity,
-            threshold,
-            points,
-            config.epe_search_range,
-        );
-        let same = raster
-            .data()
-            .iter()
-            .zip(scalar_raster.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-            && conv
-                .data()
-                .iter()
-                .zip(scalar_conv.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && intensity
-                .data()
-                .iter()
-                .zip(scalar_intensity.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && epe
-                .per_point
-                .iter()
-                .zip(&scalar_epe.per_point)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same {
-            eprintln!(
-                "SIMD PARITY REGRESSION: backend {} diverged from scalar at the bit level",
-                arch.name()
-            );
-            std::process::exit(1);
-        }
-        let benches: [(&'static str, f64); 3] = [
-            (
-                "rasterize",
-                mean_ns(
-                    || {
-                        black_box(rasterize_mask_on(arch, &mask, config.pixel_size, guard));
-                    },
-                    iters,
-                ),
-            ),
-            (
-                "convolve",
-                mean_ns(
-                    || {
-                        black_box(convolve_separable_on(arch, &scalar_raster, &conv_taps));
-                    },
-                    iters,
-                ),
-            ),
-            (
-                "epe",
-                mean_ns(
-                    || {
-                        black_box(measure_epe_on(
-                            arch,
-                            &scalar_intensity,
-                            threshold,
-                            points,
-                            config.epe_search_range,
-                        ));
-                    },
-                    iters,
-                ),
-            ),
-        ];
-        for (slot, (op, ns)) in benches.into_iter().enumerate() {
-            let ops_per_s = 1e9 / ns;
-            if arch == ArchId::Scalar {
-                scalar_rates[slot] = ops_per_s;
-            }
-            simd_rows.push(SimdRow {
-                op,
-                arch: arch.name(),
-                ops_per_s,
-                speedup_vs_scalar: ops_per_s / scalar_rates[slot].max(f64::MIN_POSITIVE),
-            });
-        }
-    }
-    // The dispatched default path (honouring `CAMO_SIMD`) must agree with
-    // scalar too — this is the pair the CI digest diff exercises.
-    let dispatched_raster = camo_litho::rasterize_mask(&mask, config.pixel_size, guard);
-    let dispatched_epe = sim.evaluate_epe(&mask);
-    let raster_digest = bits_digest(dispatched_raster.data().iter().copied());
-    let epe_digest = bits_digest(dispatched_epe.per_point.iter().copied());
-    if raster_digest != bits_digest(scalar_raster.data().iter().copied())
-        || epe_digest != bits_digest(scalar_epe.per_point.iter().copied())
-    {
-        eprintln!(
-            "SIMD PARITY REGRESSION: dispatched path ({}) diverged from scalar",
-            simd::active().name()
-        );
-        std::process::exit(1);
-    }
-
     // Sparse-refresh accounting: two vias at opposite ends of a wide clip,
     // all segments moved at once — the bitmask-sparse refresh must touch
     // far fewer pixels than the dense union dirty window spans.
@@ -1287,22 +1131,6 @@ fn main() {
             None => println!("{:32} {:>14.0} ns", row.op, row.mean_ns),
         }
     }
-    let detected_names: Vec<&str> = arches.iter().map(|a| a.name()).collect();
-    println!(
-        "simd dispatch: active={} detected=[{}] (all backends bit-identical to scalar)",
-        simd::active().name(),
-        detected_names.join(", ")
-    );
-    for r in &simd_rows {
-        println!(
-            "simd {:10} [{:6}] {:>14.0} ops/s  ({:.2}x vs scalar)",
-            r.op, r.arch, r.ops_per_s, r.speedup_vs_scalar
-        );
-    }
-    // Result-bit digests: identical across `CAMO_SIMD` settings by the
-    // parity contract — CI diffs these lines between scalar and auto runs.
-    println!("simd digest rasterize 0x{raster_digest:016x}");
-    println!("simd digest epe       0x{epe_digest:016x}");
     println!(
         "sparse refresh: {} px rasterized of {} px dense dirty window ({} sub-windows, {:.1}x skip)",
         sparse_refresh.rasterized_pixels,
@@ -1435,25 +1263,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"simd\": {{\"active\": \"{}\", \"detected\": [{}], \"bit_identical_to_scalar\": true, \"rows\": [",
-        simd::active().name(),
-        detected_names
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    for (i, r) in simd_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"arch\": \"{}\", \"ops_per_s\": {:.1}, \"speedup_vs_scalar\": {:.2}}}",
-            r.op, r.arch, r.ops_per_s, r.speedup_vs_scalar,
-        );
-        json.push_str(if i + 1 < simd_rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(
-        json,
-        "  ], \"sparse_refresh\": {{\"op\": \"apply_moves_distant_pair\", \"rasterized_pixels\": {}, \"dirty_window_pixels\": {}, \"sub_windows\": {}, \"skip_ratio\": {:.2}}}}},",
+        "  \"sparse_refresh\": {{\"op\": \"apply_moves_distant_pair\", \"rasterized_pixels\": {}, \"dirty_window_pixels\": {}, \"sub_windows\": {}, \"skip_ratio\": {:.2}}},",
         sparse_refresh.rasterized_pixels,
         sparse_refresh.dirty_window_pixels,
         sparse_refresh.sub_windows,

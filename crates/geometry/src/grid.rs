@@ -7,7 +7,6 @@
 use crate::point::{Coord, Point};
 use crate::polygon::Polygon;
 use crate::rect::Rect;
-use crate::simd;
 
 /// A dense 2-D grid of `f64` samples covering a layout region.
 ///
@@ -425,25 +424,13 @@ impl Raster {
     /// where coverage is the *exact* fraction of the pixel square covered by
     /// the rectangle. This is the analytic equivalent of filling a 1 nm grid
     /// and box-downsampling, without the intermediate grid.
-    pub fn fill_rect_coverage_in(&mut self, rect: Rect, value: f64, win: PixelWindow) {
-        self.fill_rect_coverage_in_on(simd::active(), rect, value, win);
-    }
-
-    /// [`Self::fill_rect_coverage_in`] on an explicit SIMD backend — the
-    /// hook the per-arch parity tests and micro-benchmarks use.
     ///
     /// Each row splits into at most two partially-covered border pixels and
     /// a fully-covered interior span; interior pixels all gain the same
-    /// contribution (`hx == pixel_size` exactly, in integer nm), which the
-    /// backend adds as a constant. Border pixels use the per-pixel formula,
-    /// so every backend is bit-identical to the dense scalar loop.
-    pub fn fill_rect_coverage_in_on(
-        &mut self,
-        arch: simd::ArchId,
-        rect: Rect,
-        value: f64,
-        win: PixelWindow,
-    ) {
+    /// contribution (`hx == pixel_size` exactly, in integer nm), added as a
+    /// constant. Border pixels use the per-pixel formula, so the result is
+    /// bit-identical to the dense per-pixel loop.
+    pub fn fill_rect_coverage_in(&mut self, rect: Rect, value: f64, win: PixelWindow) {
         let p = self.pixel_size;
         let inv_area = 1.0 / (p * p) as f64;
         // Clip the rectangle to the window's nm extent.
@@ -482,7 +469,9 @@ impl Raster {
             // `(p * hy) as f64` is bit-equal to the per-pixel `(hx * hy)`
             // for interior columns: the i64 product is the same number.
             let c = value * (p * hy) as f64 * inv_area;
-            simd::add_constant(arch, &mut self.data[row + ifull_lo..row + ifull_hi], c);
+            for v in &mut self.data[row + ifull_lo..row + ifull_hi] {
+                *v += c;
+            }
             for ix in ifull_hi..ix_end {
                 border(&mut self.data, row, ix, hy, self.origin.x);
             }
@@ -499,19 +488,6 @@ impl Raster {
     /// rectangle handed to [`Self::fill_rect_coverage_in`].
     pub fn fill_polygon_coverage_in(
         &mut self,
-        vertices: &[Point],
-        value: f64,
-        win: PixelWindow,
-        scratch: &mut CoverageScratch,
-    ) {
-        self.fill_polygon_coverage_in_on(simd::active(), vertices, value, win, scratch);
-    }
-
-    /// [`Self::fill_polygon_coverage_in`] on an explicit SIMD backend — the
-    /// hook the per-arch parity tests and micro-benchmarks use.
-    pub fn fill_polygon_coverage_in_on(
-        &mut self,
-        arch: simd::ArchId,
         vertices: &[Point],
         value: f64,
         win: PixelWindow,
@@ -553,12 +529,7 @@ impl Raster {
             }
             scratch.crossings.sort_unstable();
             for pair in scratch.crossings.chunks_exact(2) {
-                self.fill_rect_coverage_in_on(
-                    arch,
-                    Rect::new(pair[0], ya, pair[1], yb),
-                    value,
-                    win,
-                );
+                self.fill_rect_coverage_in(Rect::new(pair[0], ya, pair[1], yb), value, win);
             }
         }
     }

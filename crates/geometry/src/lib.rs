@@ -35,7 +35,6 @@ pub mod point;
 pub mod polygon;
 pub mod rect;
 pub mod segment;
-pub mod simd;
 pub mod squish;
 
 pub use features::{

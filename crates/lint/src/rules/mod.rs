@@ -159,9 +159,9 @@ pub fn atomics(file: &SourceFile, _config: &Config, out: &mut Vec<Finding>) {
 
 /// Rule `unsafety`: every `unsafe` token (block, fn, impl) is preceded by
 /// a `// SAFETY:` comment. The rule is workspace-wide with no allowlist:
-/// it covers the SIMD intrinsic backends under `crates/geometry` and
-/// `crates/litho` as well as test code — a test allocator's contract
-/// deserves the same sentence as production code.
+/// it covers the AVX2 convolution kernels in `crates/litho/src/simd.rs`
+/// as well as test code — a test allocator's contract deserves the same
+/// sentence as production code.
 pub fn unsafety(file: &SourceFile, _config: &Config, out: &mut Vec<Finding>) {
     for (i, tok) in file.tokens.iter().enumerate() {
         if !tok.is_ident("unsafe") {

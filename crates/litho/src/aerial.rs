@@ -10,7 +10,6 @@
 
 use crate::kernel::OpticalModel;
 use crate::pipeline::{aerial_window, convolve_window, TapsCache};
-use crate::simd::{self, ArchId};
 use camo_geometry::{Coord, CoverageScratch, MaskState, Raster, Rect};
 
 /// The region simulated for a mask: the clip region grown by `guard_nm` so
@@ -32,28 +31,16 @@ pub fn simulation_region(mask: &MaskState, guard_nm: Coord) -> Rect {
 /// box downsample to within accumulation rounding (≪ 1e-9) while doing
 /// 25–100× less work.
 pub fn rasterize_mask(mask: &MaskState, pixel_size: Coord, guard_nm: Coord) -> Raster {
-    rasterize_mask_on(simd::active(), mask, pixel_size, guard_nm)
-}
-
-/// [`rasterize_mask`] on an explicit SIMD backend — the hook the per-arch
-/// parity tests and micro-benchmarks use; results are bit-identical across
-/// backends.
-pub fn rasterize_mask_on(
-    arch: ArchId,
-    mask: &MaskState,
-    pixel_size: Coord,
-    guard_nm: Coord,
-) -> Raster {
     let mut raster = Raster::new(simulation_region(mask, guard_nm), pixel_size);
     let win = raster.full_window();
     let mut cov = CoverageScratch::default();
     let mut verts = Vec::new();
     for i in 0..mask.clip().targets().len() {
         mask.moved_polygon_vertices(i, &mut verts);
-        raster.fill_polygon_coverage_in_on(arch, &verts, 1.0, win, &mut cov);
+        raster.fill_polygon_coverage_in(&verts, 1.0, win, &mut cov);
     }
     for &sraf in mask.sraf_rects() {
-        raster.fill_rect_coverage_in_on(arch, sraf, 1.0, win);
+        raster.fill_rect_coverage_in(sraf, 1.0, win);
     }
     raster.clamp_window(win, 0.0, 1.0);
     raster
@@ -69,18 +56,6 @@ pub fn rasterize_mask_on(
 /// amplitude is identically zero elsewhere, so this is exact, not an
 /// approximation.
 pub fn aerial_image(mask_raster: &Raster, model: &OpticalModel, defocus_blur_nm: f64) -> Raster {
-    aerial_image_on(simd::active(), mask_raster, model, defocus_blur_nm)
-}
-
-/// [`aerial_image`] on an explicit SIMD backend — the hook the per-arch
-/// parity tests and micro-benchmarks use; results are bit-identical across
-/// backends.
-pub fn aerial_image_on(
-    arch: ArchId,
-    mask_raster: &Raster,
-    model: &OpticalModel,
-    defocus_blur_nm: f64,
-) -> Raster {
     let mut intensity = Raster::with_dimensions(
         mask_raster.origin(),
         mask_raster.pixel_size(),
@@ -101,7 +76,6 @@ pub fn aerial_image_on(
     let mut amp = vec![0.0; w * h];
     let mut row_acc = vec![0.0; win.width()];
     aerial_window(
-        arch,
         mask_raster.data(),
         w,
         h,
@@ -121,13 +95,6 @@ pub fn aerial_image_on(
 /// Edges are handled by renormalising over the in-bounds taps, so intensity
 /// does not artificially fall off at the clip boundary.
 pub fn convolve_separable(input: &Raster, taps: &[f64]) -> Raster {
-    convolve_separable_on(simd::active(), input, taps)
-}
-
-/// [`convolve_separable`] on an explicit SIMD backend — the hook the
-/// per-arch parity tests and micro-benchmarks use; results are
-/// bit-identical across backends.
-pub fn convolve_separable_on(arch: ArchId, input: &Raster, taps: &[f64]) -> Raster {
     let (w, h) = (input.width(), input.height());
     let mut out = Raster::with_dimensions(input.origin(), input.pixel_size(), w, h);
     if w == 0 || h == 0 {
@@ -140,7 +107,6 @@ pub fn convolve_separable_on(arch: ArchId, input: &Raster, taps: &[f64]) -> Rast
     let mut tmp = vec![0.0; w * h];
     let mut row_acc = vec![0.0; w];
     convolve_window(
-        arch,
         input.data(),
         w,
         h,
@@ -215,8 +181,7 @@ mod tests {
     #[test]
     fn degenerate_raster_shapes_match_reference_bit_for_bit() {
         // Rasters narrower than the kernel (every pixel a border pixel) and
-        // radius-0 kernels must match the seed implementation exactly, on
-        // the scalar backend and on whatever backend dispatch selected.
+        // radius-0 kernels must match the seed implementation exactly.
         let mut tiny = Raster::new(Rect::new(0, 0, 30, 30), 10); // 3×3 pixels
         tiny.fill_rect(Rect::new(0, 0, 20, 30), 0.7);
         tiny.fill_rect(Rect::new(10, 10, 30, 20), 0.4);
@@ -224,17 +189,14 @@ mod tests {
         let single_tap = vec![0.3];
         for (raster, taps) in [(&tiny, &wide_taps), (&tiny, &single_tap)] {
             let expected = reference::convolve_separable(raster, taps);
-            for arch in [crate::simd::ArchId::Scalar, crate::simd::active()] {
-                let got = convolve_separable_on(arch, raster, taps);
-                for (i, (a, b)) in got.data().iter().zip(expected.data()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} taps={} pixel {i}: {a:e} vs {b:e}",
-                        arch.name(),
-                        taps.len()
-                    );
-                }
+            let got = convolve_separable(raster, taps);
+            for (i, (a, b)) in got.data().iter().zip(expected.data()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "taps={} pixel {i}: {a:e} vs {b:e}",
+                    taps.len()
+                );
             }
         }
     }

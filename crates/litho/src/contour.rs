@@ -1,33 +1,17 @@
 //! Printed-contour extraction from aerial images.
 
-use crate::simd::{self, ArchId};
 use camo_geometry::Raster;
 
 /// Thresholds an aerial image into a binary print image (1.0 = printed).
 pub fn print_image(intensity: &Raster, threshold: f64) -> Raster {
-    print_image_on(simd::active(), intensity, threshold)
-}
-
-/// [`print_image`] on an explicit SIMD backend — the threshold sweep runs
-/// as a bitmask compare ([`simd::mask_gt`]), and the written values are
-/// exactly `1.0`/`0.0`, so every backend produces the identical image.
-pub fn print_image_on(arch: ArchId, intensity: &Raster, threshold: f64) -> Raster {
     let mut out = Raster::with_dimensions(
         intensity.origin(),
         intensity.pixel_size(),
         intensity.width(),
         intensity.height(),
     );
-    let mut words = [0_u64; 1];
-    for (ochunk, ichunk) in out
-        .data_mut()
-        .chunks_mut(64)
-        .zip(intensity.data().chunks(64))
-    {
-        simd::mask_gt(arch, ichunk, threshold, &mut words);
-        for (j, o) in ochunk.iter_mut().enumerate() {
-            *o = if words[0] >> j & 1 == 1 { 1.0 } else { 0.0 };
-        }
+    for (o, &i) in out.data_mut().iter_mut().zip(intensity.data()) {
+        *o = if i > threshold { 1.0 } else { 0.0 };
     }
     out
 }

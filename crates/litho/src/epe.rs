@@ -10,13 +10,7 @@
 //! feature under-prints and the mask segment should move outward); a
 //! **negative** EPE means the contour overshoots the target edge.
 
-use crate::simd::{self, ArchId};
 use camo_geometry::{MeasurePoint, Raster};
-
-/// Stack capacity of the vectorized sampling sweep (no heap allocation on
-/// the EPE path). The default `search_range = 40` nm walk at 0.5 nm steps
-/// needs 161 samples; wider searches fall back to the scalar walk.
-const MAX_SAMPLES: usize = 256;
 
 /// Per-layout EPE measurement results.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,22 +59,9 @@ pub fn measure_epe(
     points: &[MeasurePoint],
     search_range: f64,
 ) -> EpeReport {
-    measure_epe_on(simd::active(), intensity, threshold, points, search_range)
-}
-
-/// [`measure_epe`] on an explicit SIMD backend — the hook the per-arch
-/// parity tests and micro-benchmarks use; results are bit-identical across
-/// backends.
-pub fn measure_epe_on(
-    arch: ArchId,
-    intensity: &Raster,
-    threshold: f64,
-    points: &[MeasurePoint],
-    search_range: f64,
-) -> EpeReport {
     let per_point = points
         .iter()
-        .map(|mp| epe_at_point(arch, intensity, threshold, mp, search_range))
+        .map(|mp| epe_at_point(intensity, threshold, mp, search_range))
         .collect();
     EpeReport {
         per_point,
@@ -90,99 +71,7 @@ pub fn measure_epe_on(
 
 /// Locates the contour crossing along the outward normal of one measure point
 /// and returns the signed EPE (positive = contour inside the target).
-///
-/// The ray is sampled into a stack buffer and the threshold sweep runs as a
-/// SIMD bitmask compare ([`simd::mask_gt`]); crossings are then interpolated
-/// in ascending ray order with the exact scalar expressions, so the result is
-/// bit-identical to [`epe_at_point_scalar`] (asserted by the parity tests).
 fn epe_at_point(
-    arch: ArchId,
-    intensity: &Raster,
-    threshold: f64,
-    point: &MeasurePoint,
-    search_range: f64,
-) -> f64 {
-    let dir = point.outward.unit();
-    let (dx, dy) = (dir.dx as f64, dir.dy as f64);
-    let (ox, oy) = (point.location.x as f64, point.location.y as f64);
-    let step = 0.5_f64;
-    let n_steps = (search_range / step).ceil() as i64;
-    let count = (2 * n_steps + 1).max(0) as usize;
-    if n_steps < 1 || count > MAX_SAMPLES {
-        return epe_at_point_scalar(intensity, threshold, point, search_range);
-    }
-    let n = n_steps as usize;
-
-    let sample = |d: f64| intensity.sample_bilinear(ox + dx * d, oy + dy * d);
-    // Ray positions exactly as the scalar walk visits them: the walk starts
-    // at -search_range (not at -n·step, which can overshoot when the range
-    // is not a step multiple), then proceeds on the step grid.
-    let d_at = |j: usize| {
-        if j == 0 {
-            -search_range
-        } else {
-            (j as f64 - n as f64) * step
-        }
-    };
-    let mut samples = [0.0_f64; MAX_SAMPLES];
-    for (j, s) in samples.iter_mut().enumerate().take(count) {
-        *s = sample(d_at(j));
-    }
-    let mut words = [0_u64; MAX_SAMPLES / 64];
-    simd::mask_gt(arch, &samples[..count], threshold, &mut words);
-
-    // A crossing sits between adjacent samples whose printed bits differ;
-    // XOR against the shifted mask finds them all at once, and set bits are
-    // visited in ascending ray order so the keep-closest tie rule below
-    // behaves exactly like the scalar walk.
-    let mut best: Option<f64> = None;
-    for wi in 0..count.div_ceil(64) {
-        let w = words[wi];
-        let next = words.get(wi + 1).copied().unwrap_or(0);
-        let mut cross_bits = w ^ ((w >> 1) | (next << 63));
-        let pairs = (count - 1).saturating_sub(wi * 64);
-        if pairs < 64 {
-            cross_bits &= (1_u64 << pairs) - 1;
-        }
-        while cross_bits != 0 {
-            let g = wi * 64 + cross_bits.trailing_zeros() as usize;
-            cross_bits &= cross_bits - 1;
-            let (prev_d, d) = (d_at(g), d_at(g + 1));
-            let (prev_v, v) = (samples[g], samples[g + 1]);
-            // Linear interpolation of the crossing position.
-            let t = if (v - prev_v).abs() > 1e-12 {
-                (threshold - prev_v) / (v - prev_v)
-            } else {
-                0.5
-            };
-            let cross = prev_d + t * (d - prev_d);
-            match best {
-                Some(b) if cross.abs() >= b.abs() => {}
-                _ => best = Some(cross),
-            }
-        }
-    }
-
-    match best {
-        // Contour at d (outward positive). Positive EPE = contour inside.
-        Some(d) => -d,
-        // No crossing in range: the feature either failed to print (maximum
-        // inner EPE) or floods the whole window (maximum outer EPE).
-        None => {
-            // `d_at(n) == 0.0`, so this is the scalar path's `sample(0.0)`.
-            if samples[n] > threshold {
-                -search_range
-            } else {
-                search_range
-            }
-        }
-    }
-}
-
-/// The scalar reference walk: visits the ray position by position. Used for
-/// search ranges too wide for the stack buffer, and by the parity tests as
-/// the semantics baseline for [`epe_at_point`].
-pub(crate) fn epe_at_point_scalar(
     intensity: &Raster,
     threshold: f64,
     point: &MeasurePoint,

@@ -357,7 +357,6 @@ impl<'a> MaskEvaluator<'a> {
         for &win in &ws.plan {
             let _span = StageSpan::enter(self.sim.trace_sink(), Stage::Convolve);
             aerial_window(
-                crate::simd::active(),
                 ws.raster.data(),
                 w,
                 h,

@@ -54,7 +54,10 @@
 //! Evaluation itself is the scratch-buffer pipeline: masks are rasterised
 //! *analytically* (exact per-pixel area coverage, no intermediate 1 nm
 //! grid) and convolution is windowed over the mask content with a
-//! branch-free interior. OPC loops hold a [`MaskEvaluator`] session
+//! branch-free interior. The four kernels of the separable convolution run
+//! hand-written AVX2 when the CPU has it and their scalar bodies otherwise,
+//! bit-identically ([`simd_backend`] names the path in use); everything
+//! else is plain Rust. OPC loops hold a [`MaskEvaluator`] session
 //! ([`LithoSimulator::evaluator`]): each [`MaskEvaluator::apply_moves`]
 //! re-rasterises only the pixels the movements touched and re-convolves the
 //! images the session has read over planned windows around them (padded by
@@ -99,7 +102,7 @@ pub mod pvband;
 #[cfg(any(test, feature = "reference-impl"))]
 pub mod reference;
 pub mod resist;
-pub mod simd;
+mod simd;
 pub mod simulator;
 pub mod sraf;
 pub mod tiling;
@@ -117,6 +120,7 @@ pub use pool::WorkspacePool;
 pub use process::ProcessCorner;
 pub use pvband::{pv_band_area, pv_band_area_in};
 pub use resist::ResistModel;
+pub use simd::backend as simd_backend;
 pub use simulator::{LithoConfig, LithoSimulator, SimulationResult};
 pub use sraf::{insert_srafs, SrafRules};
 pub use tiling::{LayoutReport, LayoutTile, TileEvaluation, Tiler};

@@ -21,7 +21,7 @@
 //!   implementation to ~1 ulp.
 
 use crate::kernel::{GaussianKernel, OpticalModel};
-use crate::simd::{self, ArchId};
+use crate::simd;
 use camo_geometry::{Coord, CoverageScratch, PixelWindow, Point, Raster, Rect};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -132,14 +132,12 @@ impl TapsCache {
 
 /// One row of the separable convolution, output restricted to `[x0, x1)`.
 ///
-/// Interior pixels (full tap support) run branch-free on the dispatched
-/// SIMD backend ([`crate::simd`]) and divide by the precomputed tap sum;
+/// Interior pixels (full tap support) run branch-free
+/// ([`simd::convolve_interior`]) and divide by the precomputed tap sum;
 /// border pixels renormalise over the in-bounds taps exactly like the seed
 /// implementation, so intensity does not artificially fall off at the
-/// raster boundary. Every backend keeps per-pixel tap order ascending, so
-/// the output is bit-identical across arches.
+/// raster boundary. Both paths keep per-pixel tap order ascending.
 pub(crate) fn convolve_row(
-    arch: ArchId,
     row_in: &[f64],
     row_out: &mut [f64],
     taps: &[f64],
@@ -170,7 +168,7 @@ pub(crate) fn convolve_row(
     for x in x0..il {
         bordered(x, row_out);
     }
-    simd::convolve_interior(arch, row_in, row_out, taps, taps_sum, il, ih);
+    simd::convolve_interior(row_in, row_out, taps, taps_sum, il, ih);
     for x in ih..x1 {
         bordered(x, row_out);
     }
@@ -183,7 +181,6 @@ pub(crate) fn convolve_row(
 /// must hold at least `win.width()` elements.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn convolve_window(
-    arch: ArchId,
     input: &[f64],
     w: usize,
     h: usize,
@@ -203,7 +200,7 @@ pub(crate) fn convolve_window(
     for y in ylo..yhi {
         let row_in = &input[y * w..(y + 1) * w];
         let row_out = &mut tmp[y * w..(y + 1) * w];
-        convolve_row(arch, row_in, row_out, taps, taps_sum, win.x0, win.x1);
+        convolve_row(row_in, row_out, taps, taps_sum, win.x0, win.x1);
     }
 
     // Vertical pass: accumulate tap-by-tap over whole rows so the inner loop
@@ -216,7 +213,7 @@ pub(crate) fn convolve_window(
         for (k, &t) in taps.iter().enumerate().take(khi).skip(klo) {
             let src_row = (y + k - radius) * w;
             let src = &tmp[src_row + win.x0..src_row + win.x1];
-            simd::axpy(arch, acc, t, src);
+            simd::axpy(acc, t, src);
         }
         let norm = if klo == 0 && khi == len {
             taps_sum
@@ -229,7 +226,7 @@ pub(crate) fn convolve_window(
         };
         let out_row = &mut out[y * w + win.x0..y * w + win.x1];
         if norm > 0.0 {
-            simd::div_into(arch, out_row, acc, norm);
+            simd::div_into(out_row, acc, norm);
         } else {
             out_row.fill(0.0);
         }
@@ -249,7 +246,6 @@ pub(crate) fn convolve_window(
 /// Panics if `taps` is missing a kernel at `blur_nm`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn aerial_window(
-    arch: ArchId,
     mask_data: &[f64],
     w: usize,
     h: usize,
@@ -271,7 +267,6 @@ pub(crate) fn aerial_window(
             .expect("taps cache populated for this blur");
         let entry = taps.entry(idx);
         convolve_window(
-            arch,
             mask_data,
             w,
             h,
@@ -287,7 +282,7 @@ pub(crate) fn aerial_window(
             let row = y * w;
             let out = &mut intensity[row + win.x0..row + win.x1];
             let a = &amp[row + win.x0..row + win.x1];
-            simd::square_weighted_add(arch, out, weight, a);
+            simd::square_weighted_add(out, weight, a);
         }
     }
 }
@@ -560,7 +555,7 @@ mod tests {
 
     /// Seed-semantics row convolution: per-pixel bounds checks and border
     /// renormalisation, the behaviour `convolve_row` must reproduce bit for
-    /// bit on every backend (see `crate::reference::convolve_separable`).
+    /// bit (see `crate::reference::convolve_separable`).
     fn reference_row(row_in: &[f64], taps: &[f64], x0: usize, x1: usize) -> Vec<f64> {
         let w = row_in.len();
         let radius = (taps.len() / 2) as isize;
@@ -606,17 +601,10 @@ mod tests {
             let (taps, sum) = taps_and_sum(7);
             let input = row(w);
             let expected = reference_row(&input, &taps, 0, w);
-            for &arch in simd::detected() {
-                let mut out = vec![0.0; w];
-                convolve_row(arch, &input, &mut out, &taps, sum, 0, w);
-                for x in 0..w {
-                    assert_eq!(
-                        out[x].to_bits(),
-                        expected[x].to_bits(),
-                        "{} w={w} x={x}",
-                        arch.name()
-                    );
-                }
+            let mut out = vec![0.0; w];
+            convolve_row(&input, &mut out, &taps, sum, 0, w);
+            for x in 0..w {
+                assert_eq!(out[x].to_bits(), expected[x].to_bits(), "w={w} x={x}");
             }
         }
     }
@@ -625,16 +613,13 @@ mod tests {
     fn empty_window_writes_nothing() {
         let (taps, sum) = taps_and_sum(5);
         let input = row(16);
-        for &arch in simd::detected() {
-            for x0 in [0_usize, 3, 8, 16] {
-                let mut out = vec![f64::NAN; 16];
-                convolve_row(arch, &input, &mut out, &taps, sum, x0, x0);
-                assert!(
-                    out.iter().all(|v| v.is_nan()),
-                    "{}: x0==x1=={x0} must leave the row untouched",
-                    arch.name()
-                );
-            }
+        for x0 in [0_usize, 3, 8, 16] {
+            let mut out = vec![f64::NAN; 16];
+            convolve_row(&input, &mut out, &taps, sum, x0, x0);
+            assert!(
+                out.iter().all(|v| v.is_nan()),
+                "x0==x1=={x0} must leave the row untouched"
+            );
         }
     }
 
@@ -643,19 +628,12 @@ mod tests {
         // A single-tap kernel still divides by the tap (t·x / t is not a
         // bitwise identity), so the reference comparison is meaningful.
         let (taps, sum) = taps_and_sum(1);
-        let input = row(67); // odd length straddles every lane width
+        let input = row(67); // odd length leaves a tail past every 4-lane step
         let expected = reference_row(&input, &taps, 0, 67);
-        for &arch in simd::detected() {
-            let mut out = vec![0.0; 67];
-            convolve_row(arch, &input, &mut out, &taps, sum, 0, 67);
-            for x in 0..67 {
-                assert_eq!(
-                    out[x].to_bits(),
-                    expected[x].to_bits(),
-                    "{} x={x}",
-                    arch.name()
-                );
-            }
+        let mut out = vec![0.0; 67];
+        convolve_row(&input, &mut out, &taps, sum, 0, 67);
+        for x in 0..67 {
+            assert_eq!(out[x].to_bits(), expected[x].to_bits(), "x={x}");
         }
     }
 
@@ -666,17 +644,14 @@ mod tests {
         let input = row(40);
         for (x0, x1) in [(0_usize, 40_usize), (2, 7), (1, 39), (5, 35), (36, 40)] {
             let expected = reference_row(&input, &taps, x0, x1);
-            for &arch in simd::detected() {
-                let mut out = vec![0.0; 40];
-                convolve_row(arch, &input, &mut out, &taps, sum, x0, x1);
-                for x in x0..x1 {
-                    assert_eq!(
-                        out[x].to_bits(),
-                        expected[x].to_bits(),
-                        "{} window [{x0},{x1}) x={x}",
-                        arch.name()
-                    );
-                }
+            let mut out = vec![0.0; 40];
+            convolve_row(&input, &mut out, &taps, sum, x0, x1);
+            for x in x0..x1 {
+                assert_eq!(
+                    out[x].to_bits(),
+                    expected[x].to_bits(),
+                    "window [{x0},{x1}) x={x}"
+                );
             }
         }
     }

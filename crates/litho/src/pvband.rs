@@ -1,6 +1,5 @@
 //! Process-variation band computation.
 
-use crate::simd::{self, ArchId};
 use camo_geometry::{PixelWindow, Raster};
 
 /// Computes the PV-band area in nm²: the area printed under the *outer*
@@ -44,33 +43,6 @@ pub fn pv_band_area_in(
     outer_threshold: f64,
     win: PixelWindow,
 ) -> f64 {
-    pv_band_area_in_on(
-        simd::active(),
-        inner_intensity,
-        inner_threshold,
-        outer_intensity,
-        outer_threshold,
-        win,
-    )
-}
-
-/// [`pv_band_area_in`] on an explicit SIMD backend — the hook the per-arch
-/// parity tests and micro-benchmarks use. Pixel counting is exact on every
-/// backend ([`simd::band_count`] evaluates the same ordered `>` predicate),
-/// so results are identical across arches.
-///
-/// # Panics
-///
-/// Panics if the image dimensions or pixel sizes differ, or the window
-/// exceeds the image.
-pub fn pv_band_area_in_on(
-    arch: ArchId,
-    inner_intensity: &Raster,
-    inner_threshold: f64,
-    outer_intensity: &Raster,
-    outer_threshold: f64,
-    win: PixelWindow,
-) -> f64 {
     assert_eq!(inner_intensity.width(), outer_intensity.width());
     assert_eq!(inner_intensity.height(), outer_intensity.height());
     assert_eq!(inner_intensity.pixel_size(), outer_intensity.pixel_size());
@@ -84,7 +56,14 @@ pub fn pv_band_area_in_on(
     for iy in win.y0..win.y1 {
         let row_in = &inner_intensity.data()[iy * w + win.x0..iy * w + win.x1];
         let row_out = &outer_intensity.data()[iy * w + win.x0..iy * w + win.x1];
-        band_pixels += simd::band_count(arch, row_in, inner_threshold, row_out, outer_threshold);
+        band_pixels += row_in
+            .iter()
+            .zip(row_out)
+            .filter(|&(&i_in, &i_out)| {
+                let printed_inner = i_in > inner_threshold;
+                i_out > outer_threshold && !printed_inner
+            })
+            .count();
     }
     band_pixels as f64 * px * px
 }

@@ -32,20 +32,6 @@ impl ResistModel {
         i > self.threshold
     }
 
-    /// Number of samples of `intensities` that print, swept on an explicit
-    /// SIMD backend as a bitmask compare ([`crate::simd::mask_gt`]). The
-    /// predicate is the same ordered `>` as [`Self::prints`] on every
-    /// backend, so the count is identical across arches.
-    pub fn printed_count_on(&self, arch: crate::simd::ArchId, intensities: &[f64]) -> usize {
-        let mut words = [0_u64; 1];
-        let mut count = 0;
-        for chunk in intensities.chunks(64) {
-            crate::simd::mask_gt(arch, chunk, self.threshold, &mut words);
-            count += words[0].count_ones() as usize;
-        }
-        count
-    }
-
     /// Smooth printability in `[0, 1]` (sigmoid around the threshold); used
     /// by the ILT baseline's gradient computation.
     pub fn activation(&self, i: f64) -> f64 {
@@ -79,17 +65,6 @@ mod tests {
         let r = ResistModel::default();
         assert!(r.prints(r.threshold + 0.01));
         assert!(!r.prints(r.threshold - 0.01));
-    }
-
-    #[test]
-    fn printed_count_matches_per_sample_prints_on_every_arch() {
-        let r = ResistModel::default();
-        // 150 samples straddle two bitmask words and a partial tail.
-        let intensities: Vec<f64> = (0..150).map(|i| i as f64 * 0.005).collect();
-        let expected = intensities.iter().filter(|&&i| r.prints(i)).count();
-        for &arch in crate::simd::detected() {
-            assert_eq!(r.printed_count_on(arch, &intensities), expected, "{arch:?}");
-        }
     }
 
     #[test]

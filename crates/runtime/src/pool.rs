@@ -64,10 +64,9 @@ where
                 s.spawn(|| {
                     let mut produced = Vec::new();
                     loop {
-                        // relaxed-ok: the counter only hands out distinct
-                        // indices; item data is published by the join, not
-                        // by this atomic.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
+                        // relaxed-ok: the cursor only hands out distinct
+                        // indices; item data is published by the join.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }

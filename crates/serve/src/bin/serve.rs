@@ -128,7 +128,7 @@ fn run_router(args: &[String], addr: SocketAddr, shards: usize) {
         handle.addr(),
         shards,
         handle.shard_addrs(),
-        camo_litho::simd::active().name()
+        camo_litho::simd_backend()
     );
     if let Some(path) = flag_value(args, "--port-file") {
         if let Err(e) = std::fs::write(&path, handle.addr().to_string()) {
@@ -201,7 +201,7 @@ fn main() {
         handle.addr(),
         threads,
         queue_depth,
-        camo_litho::simd::active().name()
+        camo_litho::simd_backend()
     );
     if let Some(path) = flag_value(&args, "--port-file") {
         if let Err(e) = std::fs::write(&path, handle.addr().to_string()) {

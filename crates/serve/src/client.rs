@@ -139,6 +139,9 @@ impl Client {
     /// connection cap, say) is [`ClientError::Refused`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are flushed one frame at a time; Nagle would hold one
+        // behind an unacknowledged predecessor until the delayed ACK.
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         let mut client = Self {
             writer: BufWriter::new(stream),
@@ -148,6 +151,12 @@ impl Client {
         let id = client.fresh_id();
         handshake(&mut client.writer, &mut client.reader, id)?;
         Ok(client)
+    }
+
+    /// The connection's socket, for tests that inspect its options.
+    #[cfg(test)]
+    pub(crate) fn socket(&self) -> &TcpStream {
+        self.writer.get_ref()
     }
 
     fn fresh_id(&mut self) -> u64 {

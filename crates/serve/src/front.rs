@@ -93,7 +93,7 @@ impl FrontState {
         }
     }
 
-    fn lock_streams(&self) -> std::sync::MutexGuard<'_, Vec<(u64, TcpStream)>> {
+    pub(crate) fn lock_streams(&self) -> std::sync::MutexGuard<'_, Vec<(u64, TcpStream)>> {
         self.streams.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -291,6 +291,9 @@ fn spawn_connection<H: FrontHandler>(
     // A dead or stalled client must not wedge shutdown behind a full send
     // buffer; writers give up after this long.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    // Each response is one `write_all` + `flush`; with Nagle on, a frame
+    // written behind an unacknowledged one waits out the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let read_half = stream.try_clone()?;
     shared
         .front()

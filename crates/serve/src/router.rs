@@ -446,7 +446,7 @@ impl FrontHandler for RouterShared {
             .collect();
         ResponseBody::Metrics(MetricsReport {
             role: "router".into(),
-            simd_arch: camo_litho::simd::active().name().into(),
+            simd_arch: camo_litho::simd_backend().into(),
             queue_depth: self.queue.len(),
             queue_high_water: self.queue.high_water(),
             in_flight: self.lock_inflight().len(),
@@ -805,6 +805,9 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
     };
     // A wedged shard must not hang a forwarder behind a full send buffer.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    // Forwarders write one frame per request; Nagle would hold a frame
+    // behind an unacknowledged one until the shard's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return false;
     };
@@ -1677,5 +1680,24 @@ mod tests {
                 "shard {s} starves: {first_choice:?}"
             );
         }
+    }
+
+    #[test]
+    fn every_serving_socket_disables_nagle() {
+        let shard = crate::serve(crate::ServerConfig::default()).expect("shard");
+        let router = route(RouterConfig::default(), &[shard.addr()]).expect("router");
+        let client = crate::client::Client::connect(router.addr()).expect("client");
+        assert!(client.socket().nodelay().unwrap(), "client socket");
+        // The handshake has completed, so the router's front has accepted
+        // and registered the client's connection.
+        let accepted = router.shared.front.lock_streams();
+        assert!(!accepted.is_empty(), "the front registered the client");
+        for (_, stream) in accepted.iter() {
+            assert!(stream.nodelay().unwrap(), "accepted client connection");
+        }
+        drop(accepted);
+        let link = router.shared.links[0].stream.lock().unwrap();
+        let link = link.as_ref().expect("shard link is up");
+        assert!(link.nodelay().unwrap(), "router-to-shard link");
     }
 }

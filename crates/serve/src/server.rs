@@ -179,7 +179,7 @@ impl FrontHandler for Shared {
     fn metrics(&self) -> ResponseBody {
         ResponseBody::Metrics(MetricsReport {
             role: "server".into(),
-            simd_arch: camo_litho::simd::active().name().into(),
+            simd_arch: camo_litho::simd_backend().into(),
             queue_depth: self.queue.len(),
             queue_high_water: self.queue.high_water(),
             in_flight: self.in_flight.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only

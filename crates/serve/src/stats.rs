@@ -4,8 +4,9 @@
 //! The serving tier records one latency sample per completed request into a
 //! fixed-bucket **log2 histogram** ([`LatencyHistogram`]): bucket `i`
 //! counts samples in `[2^i, 2^(i+1))` microseconds (bucket 0 also absorbs
-//! sub-microsecond samples). Recording is a single relaxed atomic
-//! increment, so the hot path never takes a lock, and quantiles are read
+//! sub-microsecond samples). Recording is two atomic read-modify-writes — a
+//! `Relaxed` max raise, then a `Release` bucket increment that publishes
+//! it — so the hot path never takes a lock, and quantiles are read
 //! deterministically from a snapshot: a reported percentile is the
 //! **inclusive upper bound** of the bucket in which the cumulative count
 //! crosses the requested fraction, clamped to the largest observed sample —
@@ -259,10 +260,10 @@ pub struct ShardStatus {
 pub struct MetricsReport {
     /// `"server"` or `"router"`.
     pub role: String,
-    /// SIMD backend the litho hot loops dispatch to in this process
-    /// (`"scalar"`, `"sse2"` or `"avx2"` — detection, or a `CAMO_SIMD`
-    /// override). Results are bit-identical across backends; the field is
-    /// observability, not a result qualifier.
+    /// Backend the litho convolution kernels run on in this process:
+    /// `"avx2"` when the CPU has it, else `"scalar"`. Results are
+    /// bit-identical across backends; the field is observability, not a
+    /// result qualifier.
     pub simd_arch: String,
     /// Current request-queue depth.
     pub queue_depth: usize,
