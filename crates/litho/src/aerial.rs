@@ -74,7 +74,7 @@ pub fn aerial_image(mask_raster: &Raster, model: &OpticalModel, defocus_blur_nm:
     let win = content.expanded(radius, w, h);
     let mut tmp = vec![0.0; w * h];
     let mut amp = vec![0.0; w * h];
-    let mut row_acc = vec![0.0; win.width()];
+    let mut live = Vec::with_capacity(h);
     aerial_window(
         mask_raster.data(),
         w,
@@ -85,7 +85,7 @@ pub fn aerial_image(mask_raster: &Raster, model: &OpticalModel, defocus_blur_nm:
         win,
         &mut tmp,
         &mut amp,
-        &mut row_acc,
+        &mut live,
         intensity.data_mut(),
     );
     intensity
@@ -105,7 +105,7 @@ pub fn convolve_separable(input: &Raster, taps: &[f64]) -> Raster {
         sum += t;
     }
     let mut tmp = vec![0.0; w * h];
-    let mut row_acc = vec![0.0; w];
+    let mut live = Vec::with_capacity(h);
     convolve_window(
         input.data(),
         w,
@@ -115,7 +115,7 @@ pub fn convolve_separable(input: &Raster, taps: &[f64]) -> Raster {
         input.full_window(),
         &mut tmp,
         out.data_mut(),
-        &mut row_acc,
+        &mut live,
     );
     out
 }

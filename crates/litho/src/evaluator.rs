@@ -87,7 +87,6 @@ impl<'a> MaskEvaluator<'a> {
             ws: PooledWorkspace::new(ws, sim.pool_arc()),
             last_refresh: RefreshStats::default(),
         };
-        eval.ws.reserve_row_acc();
         eval.rebuild();
         eval
     }
@@ -366,7 +365,7 @@ impl<'a> MaskEvaluator<'a> {
                 win,
                 &mut ws.tmp,
                 &mut ws.amp,
-                &mut ws.row_acc,
+                &mut ws.live_rows,
                 slot.img.data_mut(),
             );
         }

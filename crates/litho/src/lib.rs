@@ -54,10 +54,12 @@
 //! Evaluation itself is the scratch-buffer pipeline: masks are rasterised
 //! *analytically* (exact per-pixel area coverage, no intermediate 1 nm
 //! grid) and convolution is windowed over the mask content with a
-//! branch-free interior. The four kernels of the separable convolution run
-//! hand-written AVX2 when the CPU has it and their scalar bodies otherwise,
-//! bit-identically ([`simd_backend`] names the path in use); everything
-//! else is plain Rust. OPC loops hold a [`MaskEvaluator`] session
+//! branch-free interior; it skips the exact zeros beside each row's mask
+//! content and in empty rows without changing a bit. The three kernels of
+//! the separable convolution run hand-written AVX2 when the CPU has it and
+//! their scalar bodies otherwise, bit-identically ([`simd_backend`] names
+//! the path in use); everything else is plain Rust. OPC loops hold a
+//! [`MaskEvaluator`] session
 //! ([`LithoSimulator::evaluator`]): each [`MaskEvaluator::apply_moves`]
 //! re-rasterises only the pixels the movements touched and re-convolves the
 //! images the session has read over planned windows around them (padded by

@@ -6,7 +6,7 @@
 //! caching, and the [`SimWorkspace`] that owns every buffer so the
 //! steady-state loop performs no heap allocation.
 //!
-//! Two properties are load-bearing:
+//! Three properties are load-bearing:
 //!
 //! * **Window locality** — a Gaussian tap stack of radius `R` pixels maps a
 //!   change inside raster window `W` to an amplitude change inside
@@ -19,6 +19,16 @@
 //!   windowed), so incremental re-evaluation reproduces full evaluation
 //!   bit-for-bit and the fast path matches the seed's reference
 //!   implementation to ~1 ulp.
+//! * **Zero skipping** — mask layers are sparse, so most multiply-adds of
+//!   a window would add exact zeros. The horizontal pass convolves a row
+//!   only within `R` of its non-zero extent and writes `+0.0` over the rest
+//!   of the span; the vertical pass accumulates only the rows the
+//!   horizontal pass convolved. Neither changes a bit, for any finite
+//!   input and positive taps: every accumulator starts at `+0.0`, a
+//!   round-to-nearest sum is `−0.0` only when both addends are `−0.0`, so
+//!   no accumulator ever holds `−0.0`, and adding a skipped `±0.0` product
+//!   would leave it unchanged. A skipped pixel's result is `+0.0 / norm =
+//!   +0.0`, what the dense sum would have stored.
 
 use crate::kernel::{GaussianKernel, OpticalModel};
 use crate::simd;
@@ -177,8 +187,12 @@ pub(crate) fn convolve_row(
 /// Separable 2-D convolution restricted to the output window `win`.
 ///
 /// `input`, `tmp` and `out` are full `w × h` buffers; only `win` of `out`
-/// is written (plus the rows of `tmp` the vertical pass needs). `row_acc`
-/// must hold at least `win.width()` elements.
+/// is written (plus the rows of `tmp` the vertical pass needs). `live`
+/// receives, in ascending order, the rows holding a non-zero pixel within
+/// the window's tap reach, the only rows the vertical pass accumulates;
+/// with capacity for `h` rows the call does not allocate. Exact zeros are
+/// skipped in both passes without changing a bit of the result, for any
+/// finite input and positive taps (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn convolve_window(
     input: &[f64],
@@ -189,32 +203,41 @@ pub(crate) fn convolve_window(
     win: PixelWindow,
     tmp: &mut [f64],
     out: &mut [f64],
-    row_acc: &mut [f64],
+    live: &mut Vec<usize>,
 ) {
     let len = taps.len();
     let radius = len / 2;
 
-    // Horizontal pass over the rows the vertical pass will read.
+    // Horizontal pass over the rows the vertical pass will read. Only the
+    // outputs within `radius` of a row's non-zero extent inside the tap
+    // reach are convolved; the rest of the span is exactly +0.0.
     let ylo = win.y0.saturating_sub(radius);
     let yhi = (win.y1 + radius).min(h);
+    let reach = win.x0.saturating_sub(radius)..(win.x1 + radius).min(w);
+    live.clear();
     for y in ylo..yhi {
         let row_in = &input[y * w..(y + 1) * w];
         let row_out = &mut tmp[y * w..(y + 1) * w];
-        convolve_row(row_in, row_out, taps, taps_sum, win.x0, win.x1);
+        let seen = &row_in[reach.clone()];
+        let Some(a) = seen.iter().position(|&v| v != 0.0) else {
+            row_out[win.x0..win.x1].fill(0.0);
+            continue;
+        };
+        let b = seen.iter().rposition(|&v| v != 0.0).unwrap_or(a) + 1;
+        let lo = (reach.start + a).saturating_sub(radius).max(win.x0);
+        let hi = (reach.start + b + radius).min(win.x1);
+        row_out[win.x0..lo].fill(0.0);
+        convolve_row(row_in, row_out, taps, taps_sum, lo, hi);
+        row_out[hi..win.x1].fill(0.0);
+        live.push(y);
     }
 
-    // Vertical pass: accumulate tap-by-tap over whole rows so the inner loop
-    // is a branch-free AXPY while per-pixel addition order stays ascending.
-    let acc = &mut row_acc[..win.width()];
+    // Vertical pass: per output row, only the live rows inside the tap
+    // reach contribute, in ascending row (and so tap) order, divided by
+    // the sum of every in-bounds tap.
     for y in win.y0..win.y1 {
         let klo = radius.saturating_sub(y);
         let khi = len.min(h + radius - y);
-        acc.fill(0.0);
-        for (k, &t) in taps.iter().enumerate().take(khi).skip(klo) {
-            let src_row = (y + k - radius) * w;
-            let src = &tmp[src_row + win.x0..src_row + win.x1];
-            simd::axpy(acc, t, src);
-        }
         let norm = if klo == 0 && khi == len {
             taps_sum
         } else {
@@ -224,9 +247,19 @@ pub(crate) fn convolve_window(
             }
             n
         };
+        let (first, end) = (y + klo - radius, y + khi - radius);
+        let rows = &live[live.partition_point(|&r| r < first)..live.partition_point(|&r| r < end)];
         let out_row = &mut out[y * w + win.x0..y * w + win.x1];
-        if norm > 0.0 {
-            simd::div_into(out_row, acc, norm);
+        if norm > 0.0 && !rows.is_empty() {
+            simd::vertical_row(
+                out_row,
+                &tmp[win.x0..],
+                w,
+                rows,
+                &taps[klo..khi],
+                first,
+                norm,
+            );
         } else {
             out_row.fill(0.0);
         }
@@ -255,7 +288,7 @@ pub(crate) fn aerial_window(
     win: PixelWindow,
     tmp: &mut [f64],
     amp: &mut [f64],
-    row_acc: &mut [f64],
+    live: &mut Vec<usize>,
     intensity: &mut [f64],
 ) {
     for y in win.y0..win.y1 {
@@ -275,7 +308,7 @@ pub(crate) fn aerial_window(
             win,
             tmp,
             amp,
-            row_acc,
+            live,
         );
         let weight = kernel.weight;
         for y in win.y0..win.y1 {
@@ -359,7 +392,10 @@ pub struct SimWorkspace {
     pub(crate) raster: Raster,
     pub(crate) tmp: Vec<f64>,
     pub(crate) amp: Vec<f64>,
-    pub(crate) row_acc: Vec<f64>,
+    /// Rows the last horizontal pass convolved, i.e. found a non-zero mask
+    /// pixel in reach (capacity: the raster height, so convolution never
+    /// allocates).
+    pub(crate) live_rows: Vec<usize>,
     /// Fallback taps for blurs the shared context was not built with.
     pub(crate) extra_taps: TapsCache,
     pub(crate) polys: Vec<Vec<Point>>,
@@ -409,8 +445,9 @@ impl SimWorkspace {
         polygon_count: usize,
         segment_count: usize,
     ) -> Self {
-        let cells = raster.width() * raster.height();
-        let words = raster.height() * raster.width().div_ceil(64);
+        let (width, height) = (raster.width(), raster.height());
+        let cells = width * height;
+        let words = height * width.div_ceil(64);
         // Upper bound on a moved polygon's vertex count: two vertices per
         // segment plus slack for the closing dedup.
         let vertex_bound = 2 * segment_count + 8;
@@ -418,7 +455,7 @@ impl SimWorkspace {
             raster,
             tmp: vec![0.0; cells],
             amp: vec![0.0; cells],
-            row_acc: Vec::new(),
+            live_rows: Vec::with_capacity(height),
             extra_taps: TapsCache::new(pixel_size),
             polys: (0..polygon_count)
                 .map(|_| Vec::with_capacity(vertex_bound))
@@ -473,6 +510,8 @@ impl SimWorkspace {
         let cells = self.raster.width() * self.raster.height();
         resize_scratch(&mut self.tmp, cells);
         resize_scratch(&mut self.amp, cells);
+        self.live_rows.clear();
+        self.live_rows.reserve(self.raster.height());
         // Dirty-bitmask rows are re-zeroed per refresh, so like `tmp`/`amp`
         // the retained contents need no eager clearing.
         let words = self.raster.height() * self.raster.width().div_ceil(64);
@@ -515,7 +554,7 @@ impl SimWorkspace {
     /// keeps alive while idle — the figure [`crate::WorkspacePool`]'s
     /// retention cap is enforced against.
     pub fn footprint_bytes(&self) -> usize {
-        let f64s = self.tmp.capacity() + self.amp.capacity() + self.row_acc.capacity();
+        let f64s = self.tmp.capacity() + self.amp.capacity();
         let polys: usize = self.polys.iter().map(|p| p.capacity()).sum();
         let slots: usize = self.slots.iter().map(|s| s.img.heap_bytes()).sum();
         self.raster.heap_bytes()
@@ -523,17 +562,11 @@ impl SimWorkspace {
             + polys * std::mem::size_of::<Point>()
             + self.cov.heap_bytes()
             + slots
+            + self.live_rows.capacity() * std::mem::size_of::<usize>()
             + self.dirty_words.capacity() * std::mem::size_of::<u64>()
             + self.dirty_rects.capacity() * std::mem::size_of::<Rect>()
             + (self.sub_windows.capacity() + self.plan.capacity())
                 * std::mem::size_of::<PixelWindow>()
-    }
-
-    /// Ensures `row_acc` can hold one window row of the raster.
-    pub(crate) fn reserve_row_acc(&mut self) {
-        if self.row_acc.len() < self.raster.width() {
-            self.row_acc = vec![0.0; self.raster.width()];
-        }
     }
 }
 
@@ -668,6 +701,54 @@ mod tests {
         win(x0, y0, (x0 + 1 + b).min(w), (y0 + 1 + d).min(h))
     }
 
+    /// Dense per-pixel oracle of [`convolve_window`] over a `w × h` raster:
+    /// every horizontal sum, then the vertical sums of `win`, each over the
+    /// in-bounds taps in ascending order and divided by their ascending sum
+    /// (or `0.0` when none is in bounds). This is the operation order of the
+    /// convolution before it skipped zeros. Pixels outside `win` read NaN.
+    fn dense_window(input: &[f64], w: usize, h: usize, taps: &[f64], win: PixelWindow) -> Vec<f64> {
+        let radius = taps.len() / 2;
+        let conv = |at: usize, n: usize, get: &dyn Fn(usize) -> f64| {
+            let (mut acc, mut norm) = (0.0, 0.0);
+            for (k, &t) in taps.iter().enumerate() {
+                if let Some(i) = (at + k).checked_sub(radius).filter(|&i| i < n) {
+                    acc += t * get(i);
+                    norm += t;
+                }
+            }
+            if norm > 0.0 {
+                acc / norm
+            } else {
+                0.0
+            }
+        };
+        let horizontal: Vec<f64> = (0..w * h)
+            .map(|i| conv(i % w, w, &|x| input[i / w * w + x]))
+            .collect();
+        let mut out = vec![f64::NAN; w * h];
+        for y in win.y0..win.y1 {
+            for x in win.x0..win.x1 {
+                out[y * w + x] = conv(y, h, &|r| horizontal[r * w + x]);
+            }
+        }
+        out
+    }
+
+    /// A sparse mask value: mostly +0.0, else −0.0, a subnormal, or a value
+    /// of either sign in (−1000, 1000).
+    fn sparse() -> impl Strategy<Value = f64> {
+        (0u32..16, -1000.0f64..1000.0, 1u64..1 << 52).prop_map(|(kind, x, m)| match kind {
+            0..=9 => 0.0,
+            10 | 11 => -0.0,
+            12 => f64::from_bits(m),
+            _ => x,
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -709,6 +790,62 @@ mod tests {
             let cost = |ws: &[PixelWindow]| ws.iter().map(|p| convolve_cost(*p, radius)).sum::<usize>();
             prop_assert!(cost(&plan) <= cost(&grown), "{plan:?} dearer than {grown:?}");
             prop_assert!(cost(&plan) <= convolve_cost(whole, radius));
+        }
+    }
+
+    /// Widest raster side and longest kernel the exactness proptest draws.
+    const SIDE: usize = 48;
+    const MAX_TAPS: usize = 61;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Skipping exact zeros changes no bit: `convolve_window` matches the
+        /// dense oracle `to_bits` inside `win` and writes nothing outside it,
+        /// and reads no `tmp` pixel it did not write (stale `tmp` is NaN).
+        /// Rows are all +0.0, all −0.0, a lone pixel at either end, both ends
+        /// (farther apart than 2R when the kernel is short), or sparse mixes
+        /// of ±0.0, subnormals and signed values; windows reach every raster
+        /// edge, and kernels run from radius 0 to wider than the raster.
+        #[test]
+        fn zero_skipping_convolution_matches_the_dense_oracle_bit_for_bit(
+            w in 1usize..=SIDE,
+            h in 1usize..=SIDE,
+            half in 0usize..=MAX_TAPS / 2,
+            raw in (0usize..SIDE + 8, 0usize..SIDE + 8, 0usize..SIDE + 8, 0usize..SIDE + 8),
+            modes in prop::collection::vec(0u32..8, SIDE),
+            pixels in prop::collection::vec(sparse(), SIDE * SIDE),
+            end in -1000.0f64..1000.0,
+            taps in prop::collection::vec(1e-3f64..1.0, MAX_TAPS),
+        ) {
+            let taps = &taps[..2 * half + 1];
+            let mut sum = 0.0;
+            for &t in taps {
+                sum += t;
+            }
+            let end = if end == 0.0 { 0.5 } else { end };
+            let input: Vec<f64> = (0..w * h)
+                .map(|i| {
+                    let (x, y) = (i % w, i / w);
+                    let (left, right) = (x == 0, x == w - 1);
+                    match modes[y] {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 if left => end,
+                        3 if right => end,
+                        4 if left || right => end,
+                        2..=4 => 0.0,
+                        _ => pixels[y * SIDE + x],
+                    }
+                })
+                .collect();
+            let win = window_in(w, h, raw);
+            let want = dense_window(&input, w, h, taps, win);
+            let (mut tmp, mut out) = (vec![f64::NAN; w * h], vec![f64::NAN; w * h]);
+            let mut live = Vec::with_capacity(h);
+            convolve_window(&input, w, h, taps, sum, win, &mut tmp, &mut out, &mut live);
+            prop_assert_eq!(bits(&out), bits(&want), "{}x{} raster, radius {}, {:?}", w, h, half, win);
+            prop_assert!(live.windows(2).all(|p| p[0] < p[1]), "live rows {:?} not ascending", live);
         }
     }
 

@@ -1,15 +1,21 @@
-//! Hand-written AVX2 for the four kernels of the separable convolution.
+//! Hand-written AVX2 for the three kernels of the separable convolution.
 //!
 //! The SOCS aerial image is a sum of separable Gaussian convolutions, and
 //! it is re-simulated after every OPC step, so these loops are the litho
 //! hot path: the horizontal interior dot product ([`convolve_interior`]),
-//! the vertical tap accumulation ([`axpy`]), the row normalisation
-//! ([`div_into`]) and the intensity accumulation
-//! ([`square_weighted_add`]). Each kernel checks
+//! one output row of the vertical pass ([`vertical_row`]) and the
+//! intensity accumulation ([`square_weighted_add`]). Each kernel checks
 //! `is_x86_feature_detected!("avx2")` (a cached CPUID probe) and otherwise
 //! runs its scalar body, which is also the reference the parity proptests
 //! below compare the AVX2 path against. Everything else in the pipeline is
 //! plain Rust.
+//!
+//! Both convolution kernels are register-blocked: a block of 16 outputs
+//! keeps four independent 4-lane accumulators in registers across the
+//! whole tap loop and stores each output once, after its division. One
+//! accumulator per block would make the tap loop a single chain of
+//! dependent adds, and accumulating a vertical row in memory would load and
+//! store it once per tap.
 //!
 //! # Bit-identity contract
 //!
@@ -28,38 +34,6 @@ pub fn backend() -> &'static str {
         return "avx2";
     }
     "scalar"
-}
-
-/// `acc[i] += t · src[i]` — one tap of the vertical convolution pass.
-pub(crate) fn axpy(acc: &mut [f64], t: f64, src: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected just above.
-        return unsafe { x86::axpy(acc, t, src) };
-    }
-    axpy_scalar(acc, t, src);
-}
-
-fn axpy_scalar(acc: &mut [f64], t: f64, src: &[f64]) {
-    for (a, s) in acc.iter_mut().zip(src) {
-        *a += t * s;
-    }
-}
-
-/// `out[i] = acc[i] / norm` — the normalisation store of a convolution row.
-pub(crate) fn div_into(out: &mut [f64], acc: &[f64], norm: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected just above.
-        return unsafe { x86::div_into(out, acc, norm) };
-    }
-    div_into_scalar(out, acc, norm);
-}
-
-fn div_into_scalar(out: &mut [f64], acc: &[f64], norm: f64) {
-    for (o, a) in out.iter_mut().zip(acc) {
-        *o = a / norm;
-    }
 }
 
 /// `out[i] += weight · amp[i] · amp[i]` — the SOCS intensity accumulation.
@@ -130,49 +104,66 @@ fn convolve_interior_scalar(
     }
 }
 
+/// One output row of the vertical pass: for each `x < out.len()`,
+/// `out[x] = (Σ taps[r − first] · src[r · stride + x]) / norm` over the
+/// rows `r` of `rows`, accumulated in the order `rows` lists them.
+///
+/// # Panics
+///
+/// Panics unless every listed row has a tap (`first ≤ r < first +
+/// taps.len()`) and a full span inside `src` (`r · stride + out.len() ≤
+/// src.len()`) — the bound the AVX2 path's unchecked loads rely on.
+pub(crate) fn vertical_row(
+    out: &mut [f64],
+    src: &[f64],
+    stride: usize,
+    rows: &[usize],
+    taps: &[f64],
+    first: usize,
+    norm: f64,
+) {
+    for &r in rows {
+        let in_src = r
+            .checked_mul(stride)
+            .and_then(|start| start.checked_add(out.len()))
+            .is_some_and(|end| end <= src.len());
+        assert!(
+            r >= first && r - first < taps.len() && in_src,
+            "row {r} lacks a tap in [{first}, {first} + {}) or a span of {} in the source",
+            taps.len(),
+            out.len()
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected just above, and the loop above checked
+        // the row bounds `x86::vertical_row` requires.
+        return unsafe { x86::vertical_row(out, src, stride, rows, taps, first, norm) };
+    }
+    vertical_row_scalar(out, src, stride, rows, taps, first, norm);
+}
+
+fn vertical_row_scalar(
+    out: &mut [f64],
+    src: &[f64],
+    stride: usize,
+    rows: &[usize],
+    taps: &[f64],
+    first: usize,
+    norm: f64,
+) {
+    for (x, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for &r in rows {
+            acc += taps[r - first] * src[r * stride + x];
+        }
+        *o = acc / norm;
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
-
-    /// Mul then add per lane — never an FMA.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    // SAFETY: loads and stores stay in the zipped prefix of the slices.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(acc: &mut [f64], t: f64, src: &[f64]) {
-        let n = acc.len().min(src.len());
-        let tv = _mm256_set1_pd(t);
-        let mut x = 0;
-        while x + 4 <= n {
-            let a = _mm256_loadu_pd(acc.as_ptr().add(x));
-            let s = _mm256_loadu_pd(src.as_ptr().add(x));
-            _mm256_storeu_pd(
-                acc.as_mut_ptr().add(x),
-                _mm256_add_pd(a, _mm256_mul_pd(tv, s)),
-            );
-            x += 4;
-        }
-        super::axpy_scalar(&mut acc[x..n], t, &src[x..n]);
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    // SAFETY: loads and stores stay in the zipped prefix of the slices.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn div_into(out: &mut [f64], acc: &[f64], norm: f64) {
-        let n = out.len().min(acc.len());
-        let nv = _mm256_set1_pd(norm);
-        let mut x = 0;
-        while x + 4 <= n {
-            let a = _mm256_loadu_pd(acc.as_ptr().add(x));
-            _mm256_storeu_pd(out.as_mut_ptr().add(x), _mm256_div_pd(a, nv));
-            x += 4;
-        }
-        super::div_into_scalar(&mut out[x..n], &acc[x..n], norm);
-    }
 
     /// Association matches the scalar `(weight * v) * v`.
     ///
@@ -195,15 +186,94 @@ mod x86 {
         super::square_weighted_add_scalar(&mut out[x..n], weight, &amp[x..n]);
     }
 
-    /// Lanes are output pixels `x..x+4`; each accumulates taps in ascending
-    /// order with mul-then-add, exactly the scalar loop.
+    /// `acc[i] += t · src[4i..4i + 4]` per lane, mul then add (not fused).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `src[..4 · N]` must be readable.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // SAFETY: the caller guarantees the 4·N loads are in range.
+    unsafe fn accumulate<const N: usize>(acc: &mut [__m256d; N], t: f64, src: *const f64) {
+        let tv = _mm256_set1_pd(t);
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_pd(*a, _mm256_mul_pd(tv, _mm256_loadu_pd(src.add(4 * i))));
+        }
+    }
+
+    /// `out[4i..4i + 4] = acc[i] / norm`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `out[..4 · N]` must be writable.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // SAFETY: the caller guarantees the 4·N stores are in range.
+    unsafe fn store_div<const N: usize>(out: *mut f64, acc: &[__m256d; N], norm: __m256d) {
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.add(4 * i), _mm256_div_pd(*a, norm));
+        }
+    }
+
+    /// `4 · N` interior outputs: `out[j] = (Σₖ taps[k] · src[j + k]) / sum`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `src[..4 · N + taps.len() - 1]` must be
+    /// readable and `out[..4 · N]` writable.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // SAFETY: tap k reads src[k..k + 4·N], inside the caller's bound.
+    unsafe fn interior_block<const N: usize>(
+        out: *mut f64,
+        src: *const f64,
+        taps: &[f64],
+        sum: __m256d,
+    ) {
+        let mut acc = [_mm256_setzero_pd(); N];
+        for (k, &t) in taps.iter().enumerate() {
+            accumulate(&mut acc, t, src.add(k));
+        }
+        store_div(out, &acc, sum);
+    }
+
+    /// `4 · N` outputs of a vertical row:
+    /// `out[j] = (Σ taps[r − first] · src[r · stride + j]) / norm` over `rows`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, every `r` in `rows` must have
+    /// `first ≤ r < first + taps.len()` and `src[r · stride..][..4 · N]`
+    /// readable, and `out[..4 · N]` must be writable.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // SAFETY: row r reads src[r·stride..][..4·N], inside the caller's bound.
+    unsafe fn vertical_block<const N: usize>(
+        out: *mut f64,
+        src: *const f64,
+        stride: usize,
+        rows: &[usize],
+        taps: &[f64],
+        first: usize,
+        norm: __m256d,
+    ) {
+        let mut acc = [_mm256_setzero_pd(); N];
+        for &r in rows {
+            accumulate(&mut acc, taps[r - first], src.add(r * stride));
+        }
+        store_div(out, &acc, norm);
+    }
+
+    /// Lanes are output pixels; each accumulates taps in ascending order
+    /// with mul-then-add, exactly the scalar loop, in blocks of 16 outputs
+    /// and then 4.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2, and a non-empty span must have
     /// `il ≥ radius`, `ih + radius ≤ row_in.len()` and `ih ≤ row_out.len()`.
-    // The widest load of lanes x..x+4 (x+3 < ih) covers indices up to
-    // (x+3) + radius < ih + radius, and the store ends at x+4 ≤ ih.
+    // A block of B outputs at x (x + B ≤ ih) loads indices x - radius up
+    // to (x + B - 1) + radius < ih + radius and stores x..x+B ⊆ [il, ih).
     // SAFETY: by the span bounds above, every load and store is in range.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn convolve_interior(
@@ -216,18 +286,55 @@ mod x86 {
     ) {
         let radius = taps.len() / 2;
         let sum = _mm256_set1_pd(taps_sum);
+        let (src, out) = (row_in.as_ptr(), row_out.as_mut_ptr());
         let mut x = il;
+        while x + 16 <= ih {
+            interior_block::<4>(out.add(x), src.add(x - radius), taps, sum);
+            x += 16;
+        }
         while x + 4 <= ih {
-            let base = x - radius;
-            let mut acc = _mm256_setzero_pd();
-            for (k, &t) in taps.iter().enumerate() {
-                let v = _mm256_loadu_pd(row_in.as_ptr().add(base + k));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(t), v));
-            }
-            _mm256_storeu_pd(row_out.as_mut_ptr().add(x), _mm256_div_pd(acc, sum));
+            interior_block::<1>(out.add(x), src.add(x - radius), taps, sum);
             x += 4;
         }
         super::convolve_interior_scalar(row_in, row_out, taps, taps_sum, x, ih);
+    }
+
+    /// Lanes are output pixels; each accumulates the listed rows in order
+    /// with mul-then-add, exactly the scalar loop, in blocks of 16 outputs
+    /// and then 4.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and every `r` in `rows` must satisfy
+    /// `first ≤ r < first + taps.len()` and
+    /// `r · stride + out.len() ≤ src.len()`.
+    // A block of B outputs at x (x + B ≤ out.len()) loads
+    // src[r · stride + x..][..B] for each listed row and stores
+    // out[x..x + B].
+    // SAFETY: by the row bounds above, every load and store is in range.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn vertical_row(
+        out: &mut [f64],
+        src: &[f64],
+        stride: usize,
+        rows: &[usize],
+        taps: &[f64],
+        first: usize,
+        norm: f64,
+    ) {
+        let n = out.len();
+        let nv = _mm256_set1_pd(norm);
+        let (sp, op) = (src.as_ptr(), out.as_mut_ptr());
+        let mut x = 0;
+        while x + 16 <= n {
+            vertical_block::<4>(op.add(x), sp.add(x), stride, rows, taps, first, nv);
+            x += 16;
+        }
+        while x + 4 <= n {
+            vertical_block::<1>(op.add(x), sp.add(x), stride, rows, taps, first, nv);
+            x += 4;
+        }
+        super::vertical_row_scalar(&mut out[x..], &src[x..], stride, rows, taps, first, norm);
     }
 }
 
@@ -269,10 +376,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `axpy`, `div_into` and `square_weighted_add` match their scalar
-        /// bodies bit for bit at every length and slice alignment.
+        /// `square_weighted_add` matches its scalar body bit for bit at
+        /// every length and slice alignment.
         #[test]
-        fn elementwise_kernels_match_their_scalar_bodies(
+        fn square_weighted_add_matches_its_scalar_body(
             len in 0usize..=MAX_LEN,
             offsets in (0usize..4, 0usize..4),
             a in prop::collection::vec(finite(), BUF),
@@ -284,18 +391,6 @@ mod tests {
             }
             let (oa, ob) = offsets;
             let (dst, src) = (oa..oa + len, &b[ob..ob + len]);
-
-            let (mut want, mut got) = (a.clone(), a.clone());
-            axpy_scalar(&mut want[dst.clone()], c, src);
-            axpy(&mut got[dst.clone()], c, src);
-            prop_assert_eq!(bits(&want), bits(&got), "axpy len {} t {:e}", len, c);
-
-            let norm = if c == 0.0 { 0.5 } else { c };
-            let (mut want, mut got) = (a.clone(), a.clone());
-            div_into_scalar(&mut want[dst.clone()], src, norm);
-            div_into(&mut got[dst.clone()], src, norm);
-            prop_assert_eq!(bits(&want), bits(&got), "div_into len {} norm {:e}", len, norm);
-
             let (mut want, mut got) = (a.clone(), a.clone());
             square_weighted_add_scalar(&mut want[dst.clone()], c, src);
             square_weighted_add(&mut got[dst], c, src);
@@ -336,6 +431,36 @@ mod tests {
             convolve_interior_scalar(row_in, &mut want[dst.clone()], taps, taps_sum, il, ih);
             convolve_interior(row_in, &mut got[dst], taps, taps_sum, il, ih);
             prop_assert_eq!(bits(&want), bits(&got), "w {} taps {} span [{}, {})", w, len, il, ih);
+        }
+
+        /// `vertical_row` matches its scalar body bit for bit for any output
+        /// width and alignment, any subset of the tap rows (skipped rows
+        /// included, and none at all), and writes nothing past `out`.
+        #[test]
+        fn vertical_row_matches_its_scalar_body(
+            n in 0usize..=70,
+            pad in 0usize..4,
+            offsets in (0usize..4, 0usize..4),
+            first in 0usize..4,
+            keep in prop::collection::vec(prop::bool::ANY, 1..=13),
+            src in prop::collection::vec(finite(), 20 * 77),
+            out in prop::collection::vec(finite(), 80),
+            taps in prop::collection::vec(finite(), 13),
+            norm in finite(),
+        ) {
+            if !has_avx2() {
+                return;
+            }
+            let (os, oo) = offsets;
+            let stride = n + pad;
+            let taps = &taps[..keep.len()];
+            let rows: Vec<usize> = (0..keep.len()).filter(|&k| keep[k]).map(|k| first + k).collect();
+            let norm = if norm == 0.0 { 0.5 } else { norm };
+            let (src, dst) = (&src[os..], oo..oo + n);
+            let (mut want, mut got) = (out.clone(), out.clone());
+            vertical_row_scalar(&mut want[dst.clone()], src, stride, &rows, taps, first, norm);
+            vertical_row(&mut got[dst], src, stride, &rows, taps, first, norm);
+            prop_assert_eq!(bits(&want), bits(&got), "n {} stride {} rows {:?}", n, stride, rows);
         }
     }
 }

@@ -3,16 +3,28 @@
 //! rasterise + convolve path (`apply_moves`) performs **zero** heap
 //! allocations — every buffer (mask raster, convolution scratch, cached
 //! taps, polygon/coverage scratch, intensity images) is reused.
+//!
+//! Allocations are counted per thread: `cargo test` runs the tests on
+//! parallel threads, and each test must see only its own.
 
 use camo_geometry::{Clip, Coord, FragmentationParams, MaskState, Rect};
 use camo_litho::{LithoConfig, LithoSimulator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation routed through the global allocator.
+/// Counts every allocation routed through the global allocator on the
+/// thread that makes it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Const-initialised and without a destructor, so the allocator can
+    /// bump it without allocating, at any point of a thread's life.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // Every method delegates verbatim to `System`; the counter increment has
 // no effect on layout, pointer validity or aliasing.
@@ -20,19 +32,19 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller contract is forwarded unchanged to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     // SAFETY: caller contract is forwarded unchanged to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: caller contract is forwarded unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
