@@ -1,8 +1,42 @@
-//! The common OPC-engine interface and shared run configuration.
+//! The common OPC-engine contract: the shared run configuration, the one
+//! action table, the one step loop and the one REINFORCE rollout.
+//!
+//! Every iterative engine is a *chooser* — a function from the current mask
+//! and its per-segment EPE to one movement per segment — run by
+//! [`OpcConfig::run_steps`]. The trainers of the two learned engines (CAMO
+//! and RL-OPC) sample their episodes through [`OpcConfig::rollout`], the
+//! same loop with a full evaluation and a reward per step. No engine reads
+//! the clock: every outcome carries [`Duration::ZERO`] as its runtime, and
+//! benchmark harnesses stamp the wall-clock time around each call.
 
 use camo_geometry::{Clip, Coord, FragmentationParams, MaskState};
-use camo_litho::{LithoSimulator, SimulationResult};
+use camo_litho::{EpeReport, LithoSimulator, SimulationResult};
+use camo_rl::{RewardConfig, Trajectory};
 use std::time::Duration;
+
+/// Largest single-step movement magnitude, nm.
+pub const MAX_MOVE: Coord = 2;
+
+/// Number of discrete movements: `{-2, -1, 0, +1, +2}` nm.
+pub const ACTION_COUNT: usize = 2 * MAX_MOVE as usize + 1;
+
+/// Maps an action index (0–4) to its movement in nm (−2…+2).
+pub fn action_to_move(action: usize) -> Coord {
+    action as Coord - MAX_MOVE
+}
+
+/// Maps a movement in nm (−2…+2) to its action index.
+///
+/// # Panics
+///
+/// Panics if the movement is outside the action space.
+pub fn move_to_action(movement: Coord) -> usize {
+    assert!(
+        (-MAX_MOVE..=MAX_MOVE).contains(&movement),
+        "movement {movement} outside the action space"
+    );
+    (movement + MAX_MOVE) as usize
+}
 
 /// Shared configuration of an OPC run, matching the experimental setup of
 /// the paper (Sections 4.2 and 4.3).
@@ -17,9 +51,6 @@ pub struct OpcConfig {
     /// Initial outward retarget applied to every segment, nm (the paper
     /// initialises the mask "by moving each edge outwards for 3 nm").
     pub initial_bias: Coord,
-    /// Largest single-step movement magnitude, nm (the action space is
-    /// `{-2, -1, 0, 1, 2}`).
-    pub max_move: Coord,
 }
 
 impl OpcConfig {
@@ -33,7 +64,6 @@ impl OpcConfig {
             max_steps: 10,
             early_exit_epe: 1.0,
             initial_bias: 3,
-            max_move: 2,
         }
     }
 
@@ -45,7 +75,6 @@ impl OpcConfig {
             max_steps: 15,
             early_exit_epe: 1.0,
             initial_bias: 3,
-            max_move: 2,
         }
     }
 
@@ -60,6 +89,88 @@ impl OpcConfig {
     /// True when the early-exit criterion is met for `mean_epe`.
     pub fn early_exit(&self, mean_epe: f64) -> bool {
         mean_epe < self.early_exit_epe
+    }
+
+    /// The OPC step loop every iterative engine runs from `mask`.
+    ///
+    /// One evaluator session serves the whole loop, so every step
+    /// re-simulates only the region its movements dirtied. The loop ends
+    /// when [`Self::early_exit`] holds for the mean |EPE| or after
+    /// `max_steps` steps. Each step asks `choose` for one movement per
+    /// segment given the current mask and its EPE, applies them and records
+    /// the new total |EPE|. The final mask gets a full evaluation (EPE and
+    /// PV band). The outcome's runtime is [`Duration::ZERO`].
+    pub fn run_steps<F>(
+        &self,
+        mask: &MaskState,
+        simulator: &LithoSimulator,
+        mut choose: F,
+    ) -> OpcOutcome
+    where
+        F: FnMut(&MaskState, &EpeReport) -> Vec<Coord>,
+    {
+        let mut eval = simulator.evaluator(mask);
+        let mut epe = eval.epe();
+        let mut trajectory = vec![epe.total_abs()];
+        let mut steps = 0;
+        for _ in 0..self.max_steps {
+            if self.early_exit(epe.mean_abs()) {
+                break;
+            }
+            let moves = choose(eval.mask(), &epe);
+            eval.apply_moves(&moves);
+            epe = eval.epe();
+            trajectory.push(epe.total_abs());
+            steps += 1;
+        }
+        let result = eval.evaluate();
+        OpcOutcome {
+            mask: eval.into_mask(),
+            result,
+            steps,
+            runtime: Duration::ZERO,
+            epe_trajectory: trajectory,
+        }
+    }
+
+    /// One REINFORCE episode from `mask`: the step loop of
+    /// [`Self::run_steps`] with a full evaluation (EPE and PV band) after
+    /// every step, rewarded by `reward` (Eq. (3)).
+    ///
+    /// `choose` returns the step's movements plus a record of the decision
+    /// (the observations and actions a trainer needs for its gradient).
+    /// Returns the reward trajectory and the records, one per step.
+    pub fn rollout<R, F>(
+        &self,
+        mask: &MaskState,
+        simulator: &LithoSimulator,
+        reward: &RewardConfig,
+        mut choose: F,
+    ) -> (Trajectory, Vec<R>)
+    where
+        F: FnMut(&MaskState, &EpeReport) -> (Vec<Coord>, R),
+    {
+        let mut session = simulator.evaluator(mask);
+        let mut eval = session.evaluate();
+        let mut trajectory = Trajectory::new();
+        let mut records = Vec::new();
+        for _ in 0..self.max_steps {
+            if self.early_exit(eval.mean_epe()) {
+                break;
+            }
+            let (moves, record) = choose(session.mask(), &eval.epe);
+            session.apply_moves(&moves);
+            let next = session.evaluate();
+            trajectory.push(reward.reward(
+                eval.total_epe(),
+                next.total_epe(),
+                eval.pv_band,
+                next.pv_band,
+            ));
+            records.push(record);
+            eval = next;
+        }
+        (trajectory, records)
     }
 }
 
@@ -78,7 +189,9 @@ pub struct OpcOutcome {
     pub result: SimulationResult,
     /// Number of mask updates actually performed.
     pub steps: usize,
-    /// Wall-clock runtime of the optimisation.
+    /// Wall-clock runtime of the optimisation. Engines never read the clock
+    /// and report [`Duration::ZERO`]; a benchmark harness that times the
+    /// `optimize` call stamps it here.
     pub runtime: Duration,
     /// Total |EPE| after every step (index 0 is the initial mask), used for
     /// the Figure-5 style trajectory plots.
@@ -121,29 +234,6 @@ pub trait OpcEngine {
     fn optimize(&mut self, clip: &Clip, simulator: &LithoSimulator) -> OpcOutcome;
 }
 
-/// Wraps an engine and stamps [`OpcOutcome::runtime`] with the wall-clock
-/// duration of each `optimize` call.
-///
-/// Engines inside the workspace's determinism lint scope (for example
-/// `camo_core::CamoEngine`) are forbidden from reading clocks and report
-/// [`Duration::ZERO`]; benchmark harnesses wrap them in this adapter — which
-/// lives outside that scope — so result tables still show real runtimes.
-#[derive(Debug, Clone)]
-pub struct TimedEngine<E>(pub E);
-
-impl<E: OpcEngine> OpcEngine for TimedEngine<E> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn optimize(&mut self, clip: &Clip, simulator: &LithoSimulator) -> OpcOutcome {
-        let start = std::time::Instant::now();
-        let mut outcome = self.0.optimize(clip, simulator);
-        outcome.runtime = start.elapsed();
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,11 +250,51 @@ mod tests {
         assert!(!metal.early_exit(1.5));
     }
 
-    #[test]
-    fn initial_mask_applies_bias() {
+    fn via_clip() -> Clip {
         let mut clip = Clip::new(Rect::new(0, 0, 1000, 1000));
         clip.add_target(Rect::new(465, 465, 535, 535).to_polygon());
-        let mask = OpcConfig::via_layer().initial_mask(&clip);
+        clip
+    }
+
+    #[test]
+    fn initial_mask_applies_bias() {
+        let mask = OpcConfig::via_layer().initial_mask(&via_clip());
         assert!(mask.offsets().iter().all(|&o| o == 3));
+    }
+
+    #[test]
+    fn action_move_mapping_roundtrips() {
+        for a in 0..ACTION_COUNT {
+            assert_eq!(move_to_action(action_to_move(a)), a);
+        }
+        let moves: Vec<Coord> = (0..ACTION_COUNT).map(action_to_move).collect();
+        assert_eq!(moves, vec![-2, -1, 0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the action space")]
+    fn moves_beyond_max_move_have_no_action() {
+        let _ = move_to_action(MAX_MOVE + 1);
+    }
+
+    #[test]
+    fn rollout_rewards_and_records_every_step() {
+        // Standing still never meets the early exit on an under-printing
+        // via, so the episode spends its whole budget, and an unchanged
+        // mask earns exactly zero reward per step.
+        let sim = LithoSimulator::new(camo_litho::LithoConfig::fast());
+        let mut config = OpcConfig::via_layer();
+        config.max_steps = 3;
+        let mask = config.initial_mask(&via_clip());
+        let mut seen = Vec::new();
+        let (trajectory, records) =
+            config.rollout(&mask, &sim, &RewardConfig::default(), |mask, epe| {
+                assert_eq!(epe.per_point.len(), mask.segment_count());
+                seen.push(mask.offsets().to_vec());
+                (vec![0; mask.segment_count()], seen.len())
+            });
+        assert_eq!(records, vec![1, 2, 3]);
+        assert_eq!(trajectory.rewards(), &[0.0, 0.0, 0.0]);
+        assert!(seen.iter().all(|offsets| offsets == mask.offsets()));
     }
 }

@@ -15,9 +15,14 @@
 //!   graph feature fusion, without the RNN, and without the modulator.
 //!
 //! All engines implement the [`OpcEngine`] trait and produce an
-//! [`OpcOutcome`] carrying the final mask, its evaluation, the per-step EPE
-//! trajectory and the wall-clock runtime — exactly the columns of Tables 1
-//! and 2.
+//! [`OpcOutcome`] carrying the final mask, its evaluation and the per-step
+//! EPE trajectory — the quality columns of Tables 1 and 2. The iterative
+//! engines (Calibre-like, RL-OPC and CAMO) differ only in how they choose
+//! each step's movements: they share one step loop,
+//! [`OpcConfig::run_steps`], one REINFORCE rollout for training,
+//! [`OpcConfig::rollout`], and one action table ([`MAX_MOVE`],
+//! [`ACTION_COUNT`], [`action_to_move`], [`move_to_action`]). Engines never
+//! read the clock; the benchmark harness times each call.
 //!
 //! # Example
 //!
@@ -42,6 +47,8 @@ pub mod rl_opc;
 
 pub use calibre_like::CalibreLikeOpc;
 pub use damo_like::DamoLikeOpc;
-pub use engine::{OpcConfig, OpcEngine, OpcOutcome, TimedEngine};
+pub use engine::{
+    action_to_move, move_to_action, OpcConfig, OpcEngine, OpcOutcome, ACTION_COUNT, MAX_MOVE,
+};
 pub use ilt::PixelIlt;
 pub use rl_opc::{RlOpc, RlOpcConfig};

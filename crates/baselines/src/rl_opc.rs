@@ -6,24 +6,14 @@
 //! modulator. The policy is a small MLP over the 3-channel adaptive squish
 //! encoding, trained with REINFORCE on the global improvement reward.
 
-use crate::engine::{OpcConfig, OpcEngine, OpcOutcome};
+use crate::engine::{action_to_move, OpcConfig, OpcEngine, OpcOutcome, ACTION_COUNT};
 use camo_geometry::{Clip, Coord, FeatureConfig, FeatureIndex, MaskState};
 use camo_litho::LithoSimulator;
 use camo_nn::{cross_entropy_grad, softmax, Linear, Optimizer, Relu, Sgd, Tensor};
 use camo_rl::{
     argmax, episode_rng, reinforce_coefficients, sample_index, ReinforceConfig, RewardConfig,
-    Trajectory,
 };
 use rand::rngs::StdRng;
-use std::time::Instant;
-
-/// Number of discrete movements (−2, −1, 0, +1, +2 nm).
-pub const ACTION_COUNT: usize = 5;
-
-/// Maps an action index to its movement in nm.
-pub fn action_to_move(action: usize) -> Coord {
-    action as Coord - 2
-}
 
 /// Hyper-parameters of the RL-OPC baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,28 +168,11 @@ impl RlOpc {
 
     fn train_episode(&mut self, clip: &Clip, simulator: &LithoSimulator, rng: &mut StdRng) -> f64 {
         let mask = self.opc.initial_mask(clip);
-        let mut session = simulator.evaluator(&mask);
-        let mut eval = session.evaluate();
-        let mut trajectory = Trajectory::new();
-        let mut steps: Vec<Vec<(Vec<f64>, usize)>> = Vec::new();
-        for _ in 0..self.opc.max_steps {
-            if self.opc.early_exit(eval.mean_epe()) {
-                break;
-            }
-            let decisions = self.select_actions(session.mask(), Some(rng));
-            let moves: Vec<Coord> = decisions.iter().map(|(_, a)| action_to_move(*a)).collect();
-            session.apply_moves(&moves);
-            let next = session.evaluate();
-            let reward = self.config.reward.reward(
-                eval.total_epe(),
-                next.total_epe(),
-                eval.pv_band,
-                next.pv_band,
-            );
-            trajectory.push(reward);
-            steps.push(decisions);
-            eval = next;
-        }
+        let reward = &self.config.reward;
+        let (trajectory, steps) = self.opc.rollout(&mask, simulator, reward, |mask, _| {
+            let decisions = self.select_actions(mask, Some(&mut *rng));
+            (moves_of(&decisions), decisions)
+        });
         let coeffs = reinforce_coefficients(&trajectory, &self.config.reinforce);
         self.zero_grad();
         for (decisions, &coeff) in steps.iter().zip(&coeffs) {
@@ -213,37 +186,21 @@ impl RlOpc {
     }
 }
 
+/// The movements of one step's `(observation, action)` decisions.
+fn moves_of(decisions: &[(Vec<f64>, usize)]) -> Vec<Coord> {
+    decisions.iter().map(|(_, a)| action_to_move(*a)).collect()
+}
+
 impl OpcEngine for RlOpc {
     fn name(&self) -> &str {
         "RL-OPC"
     }
 
     fn optimize(&mut self, clip: &Clip, simulator: &LithoSimulator) -> OpcOutcome {
-        let start = Instant::now();
         let mask = self.opc.initial_mask(clip);
-        let mut eval = simulator.evaluator(&mask);
-        let mut epe = eval.epe();
-        let mut trajectory = vec![epe.total_abs()];
-        let mut steps = 0;
-        for _ in 0..self.opc.max_steps {
-            if self.opc.early_exit(epe.mean_abs()) {
-                break;
-            }
-            let decisions = self.select_actions(eval.mask(), None);
-            let moves: Vec<Coord> = decisions.iter().map(|(_, a)| action_to_move(*a)).collect();
-            eval.apply_moves(&moves);
-            epe = eval.epe();
-            trajectory.push(epe.total_abs());
-            steps += 1;
-        }
-        let result = eval.evaluate();
-        OpcOutcome {
-            mask: eval.into_mask(),
-            result,
-            steps,
-            runtime: start.elapsed(),
-            epe_trajectory: trajectory,
-        }
+        self.opc.run_steps(&mask, simulator, |mask, _| {
+            moves_of(&self.select_actions(mask, None))
+        })
     }
 }
 
@@ -272,6 +229,10 @@ mod tests {
 
     #[test]
     fn action_mapping_covers_five_moves() {
+        // The policy head scores exactly the shared action table.
+        let engine = RlOpc::new(OpcConfig::via_layer(), tiny_config());
+        let features = vec![0.1; engine.config.features.basic_len()];
+        assert_eq!(engine.logits_inference(&features).len(), ACTION_COUNT);
         let moves: Vec<Coord> = (0..ACTION_COUNT).map(action_to_move).collect();
         assert_eq!(moves, vec![-2, -1, 0, 1, 2]);
     }

@@ -2,12 +2,13 @@
 
 use camo::{CamoConfig, CamoEngine, CamoTrainer, Modulator};
 use camo_baselines::{
-    CalibreLikeOpc, DamoLikeOpc, OpcConfig, OpcEngine, RlOpc, RlOpcConfig, TimedEngine,
+    CalibreLikeOpc, DamoLikeOpc, OpcConfig, OpcEngine, OpcOutcome, RlOpc, RlOpcConfig,
 };
 use camo_geometry::{Clip, FeatureConfig};
 use camo_litho::{LithoConfig, LithoSimulator, ResistModel};
 use camo_runtime::sweep_cases;
 use camo_workloads::{metal_test_set, metal_training_set, via_test_set, via_training_set};
+use std::time::Instant;
 
 /// How much compute an experiment run is allowed to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +197,25 @@ impl ExperimentSummary {
     }
 }
 
+/// Wraps an engine and stamps [`OpcOutcome::runtime`] with the wall-clock
+/// duration of each `optimize` call. Engines never read the clock and
+/// report `Duration::ZERO`; the tables show what this wrapper measures.
+#[derive(Debug, Clone)]
+struct TimedEngine<E>(E);
+
+impl<E: OpcEngine> OpcEngine for TimedEngine<E> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn optimize(&mut self, clip: &Clip, simulator: &LithoSimulator) -> OpcOutcome {
+        let start = Instant::now();
+        let mut outcome = self.0.optimize(clip, simulator);
+        outcome.runtime = start.elapsed();
+        outcome
+    }
+}
+
 fn run_engine<E: OpcEngine + Clone + Sync>(
     name: &str,
     engine: &E,
@@ -203,8 +223,6 @@ fn run_engine<E: OpcEngine + Clone + Sync>(
     simulator: &LithoSimulator,
     threads: usize,
 ) -> EngineRow {
-    // Clock-free engines (CAMO) report Duration::ZERO; the wrapper times
-    // every optimize call so the tables show real wall-clock figures.
     let timed = TimedEngine(engine.clone());
     let cases = sweep_cases(&timed, clips, simulator, threads)
         .into_iter()

@@ -3,32 +3,17 @@
 use crate::config::CamoConfig;
 use crate::graph::SegmentGraph;
 use crate::modulator::Modulator;
-use crate::policy::{CamoPolicy, ACTION_COUNT};
-use camo_baselines::{OpcConfig, OpcEngine, OpcOutcome};
-use camo_geometry::{Clip, Coord, FeatureIndex, MaskState};
+use crate::policy::CamoPolicy;
+use camo_baselines::{OpcConfig, OpcEngine, OpcOutcome, ACTION_COUNT};
+use camo_geometry::{Clip, FeatureIndex, MaskState};
 use camo_litho::{EpeReport, LithoSimulator};
 use camo_nn::softmax;
 use camo_rl::{argmax, sample_index};
 use rand::rngs::StdRng;
-use std::time::Duration;
 
-/// Maps a movement index (0–4) to its displacement in nm (−2…+2).
-pub fn action_to_move(action: usize) -> Coord {
-    action as Coord - 2
-}
-
-/// Maps a displacement in nm (−2…+2) to its movement index.
-///
-/// # Panics
-///
-/// Panics if the displacement is outside the action space.
-pub fn move_to_action(movement: Coord) -> usize {
-    assert!(
-        (-2..=2).contains(&movement),
-        "movement {movement} outside the action space"
-    );
-    (movement + 2) as usize
-}
+/// The shared action table's index → movement map, also reachable from here
+/// for CAMO's callers.
+pub use camo_baselines::action_to_move;
 
 /// The CAMO OPC engine: modulated, correlation-aware policy inference.
 ///
@@ -148,38 +133,18 @@ impl OpcEngine for CamoEngine {
         "CAMO"
     }
 
-    /// Optimises `clip`. The engine is inside the workspace's determinism
-    /// lint scope and never reads clocks, so the returned outcome carries
-    /// [`Duration::ZERO`] as its runtime; harnesses that report wall-clock
-    /// figures wrap the engine in [`camo_baselines::TimedEngine`].
+    /// Optimises `clip` by the shared step loop, deciding greedily with
+    /// the segment graph of the initial mask (movements change offsets, not
+    /// the fragmentation, so the graph holds for every step).
     fn optimize(&mut self, clip: &Clip, simulator: &LithoSimulator) -> OpcOutcome {
         let mask = self.opc.initial_mask(clip);
         let graph = self.graph(&mask);
-        // One evaluation session for the whole loop: every step re-simulates
-        // only the region its movements dirtied.
-        let mut eval = simulator.evaluator(&mask);
-        let mut epe = eval.epe();
-        let mut trajectory = vec![epe.total_abs()];
-        let mut steps = 0;
-        for _ in 0..self.opc.max_steps {
-            if self.opc.early_exit(epe.mean_abs()) {
-                break;
-            }
-            let decisions = self.decide(eval.mask(), &graph, &epe, None);
-            let moves: Vec<Coord> = decisions.iter().map(|(a, _)| action_to_move(*a)).collect();
-            eval.apply_moves(&moves);
-            epe = eval.epe();
-            trajectory.push(epe.total_abs());
-            steps += 1;
-        }
-        let result = eval.evaluate();
-        OpcOutcome {
-            mask: eval.into_mask(),
-            result,
-            steps,
-            runtime: Duration::ZERO,
-            epe_trajectory: trajectory,
-        }
+        self.opc.run_steps(&mask, simulator, |mask, epe| {
+            self.decide(mask, &graph, epe, None)
+                .iter()
+                .map(|(a, _)| action_to_move(*a))
+                .collect()
+        })
     }
 }
 
@@ -193,15 +158,6 @@ mod tests {
         let mut clip = Clip::new(Rect::new(0, 0, 800, 800));
         clip.add_target(Rect::new(365, 365, 435, 435).to_polygon());
         clip
-    }
-
-    #[test]
-    fn action_move_mapping_roundtrips() {
-        for a in 0..ACTION_COUNT {
-            assert_eq!(move_to_action(action_to_move(a)), a);
-        }
-        assert_eq!(action_to_move(0), -2);
-        assert_eq!(action_to_move(4), 2);
     }
 
     #[test]

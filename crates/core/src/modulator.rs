@@ -13,10 +13,8 @@
 //! * **small EPE**: `f` is nearly constant, so the preferences stay close to
 //!   uniform and the policy's own distribution dominates.
 
+use camo_baselines::ACTION_COUNT;
 use camo_nn::softmax;
-
-/// Number of discrete movements.
-pub const ACTION_COUNT: usize = 5;
 
 /// The preference-vector modulator.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,10 +7,8 @@
 //! five movement logits by a linear head.
 
 use crate::config::CamoConfig;
+use camo_baselines::ACTION_COUNT;
 use camo_nn::{Linear, Param, Relu, RnnStack, SageLayer, Tensor};
-
-/// Number of discrete movements the policy chooses among.
-pub const ACTION_COUNT: usize = 5;
 
 /// The CAMO policy network: encoder → GraphSAGE → RNN → linear head.
 #[derive(Debug, Clone)]
@@ -189,11 +187,11 @@ mod tests {
         assert_eq!(logits.len(), 4);
         assert!(logits.iter().all(|l| l.len() == ACTION_COUNT));
         assert!(policy.parameter_count() > 0);
-        // Inference path matches the training path.
+        // Inference path matches the training path bit for bit.
         let inference = policy.forward_inference(&features, &adjacency);
         for (a, b) in logits.iter().zip(&inference) {
             for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12);
+                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }

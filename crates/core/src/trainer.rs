@@ -33,12 +33,12 @@
 //! per-episode simulation setup — a training run on `T` threads holds at
 //! most `T` workspaces regardless of epoch or clip count.
 
-use crate::engine::{action_to_move, move_to_action, CamoEngine};
-use camo_baselines::CalibreLikeOpc;
-use camo_geometry::{Clip, Coord};
+use crate::engine::CamoEngine;
+use camo_baselines::{action_to_move, move_to_action, CalibreLikeOpc};
+use camo_geometry::Clip;
 use camo_litho::LithoSimulator;
 use camo_nn::{cross_entropy_grad, log_softmax, Optimizer, Sgd};
-use camo_rl::{episode_rng, reinforce_coefficients, Trajectory};
+use camo_rl::{episode_rng, reinforce_coefficients};
 
 /// Per-epoch statistics produced by training.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -222,42 +222,24 @@ impl CamoTrainer {
         clip: &Clip,
         simulator: &LithoSimulator,
     ) -> EpisodeGrads {
-        let reward_cfg = engine.config().reward;
-        let reinforce_cfg = engine.config().reinforce;
-        let max_steps = engine.opc_config().max_steps;
         let mut rng = episode_rng(engine.config().seed, episode_stream as u64);
-
-        let mask = engine.opc_config().initial_mask(clip);
+        let (opc, reward) = (engine.opc_config(), &engine.config().reward);
+        let mask = opc.initial_mask(clip);
         let graph = engine.graph(&mask);
-        let mut session = simulator.evaluator(&mask);
-        let mut eval = session.evaluate();
-        let mut trajectory = Trajectory::new();
         // Per step: the features observed and the actions taken.
-        let mut steps: Vec<(Vec<Vec<f64>>, Vec<usize>)> = Vec::new();
-
-        for _ in 0..max_steps {
-            if engine.opc_config().early_exit(eval.mean_epe()) {
-                break;
-            }
-            let features = engine.node_features(session.mask());
-            let decisions = engine.decide(session.mask(), &graph, &eval.epe, Some(&mut rng));
-            let actions: Vec<usize> = decisions.iter().map(|(a, _)| *a).collect();
-            let moves: Vec<Coord> = actions.iter().map(|&a| action_to_move(a)).collect();
-            session.apply_moves(&moves);
-            let next = session.evaluate();
-            let reward = reward_cfg.reward(
-                eval.total_epe(),
-                next.total_epe(),
-                eval.pv_band,
-                next.pv_band,
-            );
-            trajectory.push(reward);
-            steps.push((features, actions));
-            eval = next;
-        }
+        let (trajectory, steps) = opc.rollout(&mask, simulator, reward, |mask, epe| {
+            let features = engine.node_features(mask);
+            let actions: Vec<usize> = engine
+                .decide(mask, &graph, epe, Some(&mut rng))
+                .iter()
+                .map(|(a, _)| *a)
+                .collect();
+            let moves = actions.iter().map(|&a| action_to_move(a)).collect();
+            (moves, (features, actions))
+        });
 
         // REINFORCE gradient on the original (unmodulated) policy outputs.
-        let coefficients = reinforce_coefficients(&trajectory, &reinforce_cfg);
+        let coefficients = reinforce_coefficients(&trajectory, &engine.config().reinforce);
         let mut policy = engine.policy().clone();
         policy.zero_grad();
         for ((features, actions), &coeff) in steps.iter().zip(&coefficients) {

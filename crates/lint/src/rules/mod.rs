@@ -14,7 +14,9 @@ use crate::Finding;
 
 /// Crates whose code produces served/replayed results: the determinism
 /// contract (`(policy_version, seed, clip)` fully determines the outcome)
-/// bans ambient time and entropy here.
+/// bans ambient time and entropy here. `baselines` holds the engines
+/// `serve` runs and CAMO's imitation teacher; `workloads` generates the
+/// layouts `serve` evaluates and the request streams clients verify.
 const DETERMINISM_SCOPE: &[&str] = &[
     "crates/litho/src",
     "crates/rl/src",
@@ -22,6 +24,8 @@ const DETERMINISM_SCOPE: &[&str] = &[
     "crates/nn/src",
     "crates/geometry/src",
     "crates/runtime/src",
+    "crates/baselines/src",
+    "crates/workloads/src",
 ];
 
 /// APIs that read the wall clock or ambient entropy, or iterate in a

@@ -190,6 +190,48 @@ fn every_rule_fires_on_its_seeded_violation() {
 }
 
 #[test]
+fn baseline_engines_and_workloads_are_in_the_determinism_scope() {
+    // The OPC baselines and the workload generators produce served and
+    // verified results, so a clock read there is a finding; test modules
+    // may still time things.
+    let root = fixture_root("determinism-scope");
+    put(
+        &root,
+        "crates/baselines/src/calibre_like.rs",
+        "use std::time::Instant;\n\
+         \n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+             use std::time::Instant;\n\
+         }\n",
+    );
+    put(
+        &root,
+        "crates/workloads/src/via.rs",
+        "pub fn seed() -> u64 { rand::thread_rng().gen() }\n",
+    );
+    put(&root, "README.md", "\n");
+
+    let found: Vec<(String, usize, &str)> = findings_at(&root)
+        .into_iter()
+        .map(|f| (f.path, f.line, f.rule))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            (
+                "crates/baselines/src/calibre_like.rs".to_string(),
+                1,
+                "determinism"
+            ),
+            ("crates/workloads/src/via.rs".to_string(), 1, "determinism"),
+        ]
+    );
+
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn config_allows_and_skips_silence_findings() {
     let root = fixture_root("config");
     put(

@@ -17,7 +17,7 @@ impl Relu {
     /// Forward pass; caches the input for backward.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         self.input_cache = Some(input.clone());
-        input.map(|v| v.max(0.0))
+        self.forward_inference(input)
     }
 
     /// Forward pass without caching.

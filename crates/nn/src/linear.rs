@@ -42,23 +42,19 @@ impl Linear {
     ///
     /// Panics if the input is not 2-D with the expected width.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "Linear expects a 2-D input");
-        assert_eq!(input.shape()[1], self.in_features, "input width mismatch");
+        let out = self.forward_inference(input);
         self.input_cache = Some(input.clone());
-        let mut out = input.matmul(&self.weight.value.transposed());
-        let batch = out.shape()[0];
-        let of = self.out_features;
-        for b in 0..batch {
-            for o in 0..of {
-                let v = out.at2(b, o) + self.bias.value.data()[o];
-                out.set2(b, o, v);
-            }
-        }
         out
     }
 
     /// Forward pass without caching (inference only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 2-D with the expected width.
     pub fn forward_inference(&self, input: &Tensor) -> Tensor {
+        assert_eq!(input.shape().len(), 2, "Linear expects a 2-D input");
+        assert_eq!(input.shape()[1], self.in_features, "input width mismatch");
         let mut out = input.matmul(&self.weight.value.transposed());
         let batch = out.shape()[0];
         for b in 0..batch {

@@ -16,8 +16,11 @@ struct RnnCell {
     b: Param,
     input_size: usize,
     hidden_size: usize,
-    /// Cached per-step `(input, h_prev, h)` triples from the last forward.
-    cache: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+    /// The last forward's inputs `x_t`, one per step.
+    inputs: Vec<Vec<f64>>,
+    /// The last forward's hidden states `h_t` (`h_{t-1}` is the previous
+    /// step's, zero before the first).
+    hidden: Vec<Vec<f64>>,
 }
 
 impl RnnCell {
@@ -31,7 +34,8 @@ impl RnnCell {
             b: Param::new(Tensor::zeros(vec![hidden_size])),
             input_size,
             hidden_size,
-            cache: Vec::new(),
+            inputs: Vec::new(),
+            hidden: Vec::new(),
         }
     }
 
@@ -56,15 +60,9 @@ impl RnnCell {
     }
 
     fn forward_sequence(&mut self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden_size];
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let h_new = self.step(x, &h);
-            self.cache.push((x.clone(), h.clone(), h_new.clone()));
-            outputs.push(h_new.clone());
-            h = h_new;
-        }
+        let outputs = self.forward_sequence_inference(inputs);
+        self.inputs = inputs.to_vec();
+        self.hidden = outputs.clone();
         outputs
     }
 
@@ -82,16 +80,18 @@ impl RnnCell {
     /// the loss with respect to `h_t` coming from above; returns the gradient
     /// with respect to each input.
     fn backward_sequence(&mut self, grad_outputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let steps = self.cache.len();
+        let steps = self.inputs.len();
         assert_eq!(grad_outputs.len(), steps, "gradient/step count mismatch");
         let hs = self.hidden_size;
         let is = self.input_size;
         let mut grad_inputs = vec![vec![0.0; is]; steps];
         let mut dh_next = vec![0.0; hs];
+        let zero = vec![0.0; hs];
         let u = self.u.value.data().to_vec();
         let w = self.w.value.data().to_vec();
         for t in (0..steps).rev() {
-            let (x, h_prev, h) = self.cache[t].clone();
+            let (x, h) = (&self.inputs[t], &self.hidden[t]);
+            let h_prev = if t == 0 { &zero } else { &self.hidden[t - 1] };
             // Total gradient on h_t: from the output head plus from h_{t+1}.
             let mut dh: Vec<f64> = grad_outputs[t].clone();
             for i in 0..hs {

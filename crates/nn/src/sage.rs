@@ -81,16 +81,29 @@ impl SageLayer {
     /// Panics if the adjacency list length differs from the node count or any
     /// neighbour index is out of range.
     pub fn forward(&mut self, nodes: &Tensor, adjacency: &[Vec<usize>]) -> Tensor {
-        self.forward_common(nodes, adjacency, true)
+        let (aggregated, pre_activation) = self.pre_activation(nodes, adjacency);
+        let out = pre_activation.map(|v| v.max(0.0));
+        self.cache = Some(SageCache {
+            input: nodes.clone(),
+            aggregated,
+            pre_activation,
+            adjacency: adjacency.to_vec(),
+        });
+        out
     }
 
     /// Forward pass without caching (inference only).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward`].
     pub fn forward_inference(&self, nodes: &Tensor, adjacency: &[Vec<usize>]) -> Tensor {
-        let mut scratch = self.clone();
-        scratch.forward_common(nodes, adjacency, false)
+        self.pre_activation(nodes, adjacency).1.map(|v| v.max(0.0))
     }
 
-    fn forward_common(&mut self, nodes: &Tensor, adjacency: &[Vec<usize>], cache: bool) -> Tensor {
+    /// The neighbour aggregate and the pre-activation
+    /// `W_self·x_v + W_neigh·mean(x_u) + b` of every node.
+    fn pre_activation(&self, nodes: &Tensor, adjacency: &[Vec<usize>]) -> (Tensor, Tensor) {
         let n = nodes.shape()[0];
         assert_eq!(nodes.shape()[1], self.in_features, "input width mismatch");
         assert_eq!(adjacency.len(), n, "adjacency length must equal node count");
@@ -109,16 +122,7 @@ impl SageLayer {
                 pre.set2(v, j, val);
             }
         }
-        let out = pre.map(|v| v.max(0.0));
-        if cache {
-            self.cache = Some(SageCache {
-                input: nodes.clone(),
-                aggregated: agg,
-                pre_activation: pre,
-                adjacency: adjacency.to_vec(),
-            });
-        }
-        out
+        (agg, pre)
     }
 
     /// Backward pass: accumulates parameter gradients and returns the

@@ -4,14 +4,14 @@
 //! of Williams' REINFORCE. This crate collects the algorithm-level pieces
 //! that are independent of any particular policy network:
 //!
-//! * the [`Environment`] abstraction and [`Step`] outcome,
 //! * the OPC improvement [`reward`] of Eq. (3) of the paper,
 //! * [`Trajectory`] recording and discounted-return computation,
 //! * the [`reinforce`] coefficient calculation (return × log-prob gradient),
-//! * behaviour-cloning utilities for the paper's Phase-1 [`imitation`]
-//!   training,
 //! * shared action [`sampling`] and the `(seed, episode)` RNG-derivation
 //!   contract that keeps parallel and serial training bit-identical.
+//!
+//! The episode loop itself is `camo_baselines::OpcConfig::rollout`, shared
+//! by both agents' trainers.
 //!
 //! # Example
 //!
@@ -29,15 +29,11 @@
 //! assert_eq!(returns.len(), 2);
 //! ```
 
-pub mod env;
-pub mod imitation;
 pub mod reinforce;
 pub mod reward;
 pub mod sampling;
 pub mod trajectory;
 
-pub use env::{Environment, Step};
-pub use imitation::{behavior_cloning_loss, ImitationBatch};
 pub use reinforce::{normalize_returns, reinforce_coefficients, ReinforceConfig};
 pub use reward::RewardConfig;
 pub use sampling::{argmax, episode_rng, episode_seed, sample_index};

@@ -157,9 +157,8 @@ pub fn wire_evaluation(result: &SimulationResult) -> ResponseBody {
 }
 
 /// The key under which requests may share one batch execution. `None` for
-/// kinds that never coalesce (sweep, optimize_batch and layout execute as
-/// their own batch; ping/metrics/restart/shutdown/hello never reach the
-/// dispatcher).
+/// kinds that never coalesce (sweep and layout execute as their own batch;
+/// ping/metrics/restart/shutdown/hello never reach the dispatcher).
 pub fn coalesce_key(body: &RequestBody) -> Option<CoalesceKey> {
     match body {
         RequestBody::Optimize { job, .. } => Some(CoalesceKey {
@@ -221,9 +220,7 @@ pub fn case_body(case: &camo_workloads::ServeCase, job: &JobSpec) -> RequestBody
 /// kinds: ping, metrics, trace, restart, shutdown, hello).
 pub fn litho_spec(body: &RequestBody) -> Option<&LithoSpec> {
     match body {
-        RequestBody::Optimize { job, .. }
-        | RequestBody::Sweep { job, .. }
-        | RequestBody::OptimizeBatch { job, .. } => Some(&job.litho),
+        RequestBody::Optimize { job, .. } | RequestBody::Sweep { job, .. } => Some(&job.litho),
         RequestBody::Evaluate { litho, .. } | RequestBody::Layout { litho, .. } => Some(litho),
         RequestBody::Ping
         | RequestBody::Metrics

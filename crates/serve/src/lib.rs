@@ -39,7 +39,7 @@
 //! * [`wire`] — one codec: every connection opens with a one-line text
 //!   `hello` answered by a text `hello_ack`, and everything after it is
 //!   binary frames (length-prefixed little-endian, raw `f64` bit images,
-//!   a 64 MiB frame bound for multi-clip batches). Typed
+//!   a 64 MiB frame bound for multi-clip sweeps). Typed
 //!   requests/responses, strict validation, exact `f64` round-trips,
 //!   typed errors (never panics) for truncated/oversized/malformed
 //!   frames — and bit-identical served results.

@@ -531,29 +531,6 @@ fn run_batch(shared: &Shared, batch: &[AdmittedRequest]) -> Vec<Vec<Response>> {
                 })
                 .collect()
         }
-        RequestBody::OptimizeBatch { job, clips } => {
-            // A pre-batched request: the clips hit `run_optimize` as one
-            // call (no dispatcher re-coalescing) and stream back as one
-            // case-outcome frame per clip, exactly like a sweep.
-            let sim = shared.fetch_sim(&job.litho.to_config(), trace);
-            let outcomes = run_optimize(job, clips, &sim, threads);
-            let id = batch[0].request.id;
-            let total = outcomes.len();
-            vec![clips
-                .iter()
-                .zip(&outcomes)
-                .enumerate()
-                .map(|(index, (clip, outcome))| Response {
-                    id,
-                    body: ResponseBody::CaseOutcome {
-                        index,
-                        total,
-                        name: clip.name().to_string(),
-                        outcome: wire_outcome(outcome),
-                    },
-                })
-                .collect()]
-        }
         RequestBody::Sweep { job, cases } => {
             let sim = shared.fetch_sim(&job.litho.to_config(), trace);
             let outcomes = run_sweep(job, cases, &sim, threads);

@@ -362,16 +362,6 @@ pub enum RequestBody {
         /// Requested protocol version (only `2` is accepted).
         version: u32,
     },
-    /// Optimise many clips as one request under one job — the wire image
-    /// of `camo_runtime::optimize_batch`, so a client batches without the
-    /// server re-coalescing. Produces one streamed `case` response per
-    /// clip (named by the clip), exactly like a sweep.
-    OptimizeBatch {
-        /// Run specification shared by every clip.
-        job: JobSpec,
-        /// The target clips.
-        clips: Vec<Clip>,
-    },
 }
 
 impl RequestBody {
@@ -916,7 +906,7 @@ pub fn read_frame(reader: &mut impl std::io::BufRead) -> std::io::Result<Option<
 
 /// Maximum v2 payload length in bytes (the 5-byte frame header excluded).
 ///
-/// Frames carry mask-scale `f64` arrays and multi-clip batches, so the
+/// Frames carry mask-scale `f64` arrays and multi-clip sweeps, so the
 /// bound is large; it still caps what a hostile peer can make a reader
 /// buffer for one frame.
 pub const MAX_FRAME_V2: usize = 1 << 26;
@@ -948,8 +938,6 @@ pub enum Opcode {
     /// `hello` request (the text preface; a binary hello is a
     /// `bad_request`).
     Hello = 0x0A,
-    /// `optimize_batch` request.
-    OptimizeBatch = 0x0B,
     /// `pong` response.
     Pong = 0x21,
     /// `outcome` response.
@@ -990,7 +978,6 @@ impl Opcode {
             0x08 => Self::Trace,
             0x09 => Self::Shutdown,
             0x0A => Self::Hello,
-            0x0B => Self::OptimizeBatch,
             0x21 => Self::Pong,
             0x22 => Self::Outcome,
             0x23 => Self::Case,
@@ -1023,7 +1010,6 @@ impl Opcode {
             Self::Trace => "trace",
             Self::Shutdown => "shutdown",
             Self::Hello => "hello",
-            Self::OptimizeBatch => "optimize_batch",
             Self::Pong => "pong",
             Self::Outcome => "outcome",
             Self::Case => "case",
@@ -1056,7 +1042,6 @@ fn request_opcode(body: &RequestBody) -> Opcode {
         RequestBody::Trace => Opcode::Trace,
         RequestBody::Shutdown => Opcode::Shutdown,
         RequestBody::Hello { .. } => Opcode::Hello,
-        RequestBody::OptimizeBatch { .. } => Opcode::OptimizeBatch,
     }
 }
 
@@ -1742,13 +1727,6 @@ pub fn encode_request_parts_v2(
                 put_clip_v2(&mut b, clip)?;
             }
         }
-        RequestBody::OptimizeBatch { job, clips } => {
-            put_job_v2(&mut b, job)?;
-            b.put_len(clips.len())?;
-            for clip in clips {
-                put_clip_v2(&mut b, clip)?;
-            }
-        }
         RequestBody::Layout {
             litho,
             params,
@@ -1822,18 +1800,6 @@ pub fn decode_request_v2(opcode: u8, payload: &[u8]) -> Result<Request, WireErro
                 return Err(WireError::Schema("sweep with no cases".into()));
             }
             RequestBody::Sweep { job, cases }
-        }
-        Opcode::OptimizeBatch => {
-            let job = take_job_v2(&mut c)?;
-            let count = c.take_len()?;
-            let mut clips = Vec::new();
-            for _ in 0..count {
-                clips.push(take_clip_v2(&mut c)?);
-            }
-            if clips.is_empty() {
-                return Err(WireError::Schema("optimize_batch with no clips".into()));
-            }
-            RequestBody::OptimizeBatch { job, clips }
         }
         Opcode::Layout => {
             let litho = take_litho_v2(&mut c)?;
@@ -2070,9 +2036,9 @@ mod tests {
         // Every other kind is a binary frame: refused as text both ways.
         for body in [
             RequestBody::Ping,
-            RequestBody::OptimizeBatch {
+            RequestBody::Sweep {
                 job: JobSpec::fast_calibre_via(),
-                clips: vec![via_clip()],
+                cases: vec![("V1".into(), via_clip())],
             },
         ] {
             let request = Request {
@@ -2528,10 +2494,6 @@ mod tests {
                     ..JobSpec::fast_calibre_via()
                 },
                 cases: vec![("a".into(), via_clip()), ("b".into(), via_clip())],
-            },
-            RequestBody::OptimizeBatch {
-                job: JobSpec::fast_calibre_via(),
-                clips: vec![via_clip(), via_clip()],
             },
             RequestBody::Layout {
                 litho: LithoSpec::fast(),

@@ -3,7 +3,7 @@
 //! in-process servers at one and two worker threads and against a routed
 //! 2-shard tier. Every cell must serve **bit-identical** results
 //! (`f64::to_bits` against a direct offline run), for per-clip `optimize`
-//! requests and for the multi-clip `optimize_batch` request alike.
+//! requests and for a multi-clip `sweep` of the same clips alike.
 
 use camo_geometry::{Clip, Rect};
 use camo_litho::LithoSimulator;
@@ -78,8 +78,8 @@ enum Sending {
 }
 
 /// Drives one cell of the matrix: connects (the `hello` preface included),
-/// sends per-clip `optimize` requests plus one `optimize_batch` the way
-/// `sending` says, and diffs everything against the offline run.
+/// sends per-clip `optimize` requests plus one `sweep` of the same clips
+/// the way `sending` says, and diffs everything against the offline run.
 fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
     let mut client = Client::connect(addr).expect("connect");
 
@@ -94,9 +94,12 @@ fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
             clip: clip.clone(),
         })
         .collect();
-    bodies.push(RequestBody::OptimizeBatch {
+    bodies.push(RequestBody::Sweep {
         job: job.clone(),
-        clips: clips.clone(),
+        cases: clips
+            .iter()
+            .map(|clip| (clip.name().to_string(), clip.clone()))
+            .collect(),
     });
     let mut all_ids = Vec::new();
     for body in bodies {
@@ -106,7 +109,7 @@ fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
         });
     }
     client.flush().unwrap();
-    let (ids, batch_id) = (&all_ids[..clips.len()], all_ids[clips.len()]);
+    let (ids, sweep_id) = (&all_ids[..clips.len()], all_ids[clips.len()]);
     let mut results = collect_responses(&mut client, &all_ids).expect("responses");
 
     for (i, id) in ids.iter().enumerate() {
@@ -118,9 +121,9 @@ fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
         }
     }
 
-    match results.remove(&batch_id).expect("batch result") {
+    match results.remove(&sweep_id).expect("sweep result") {
         Completed::Sweep(cases) => {
-            assert_eq!(cases.len(), clips.len(), "{what}: batch case count");
+            assert_eq!(cases.len(), clips.len(), "{what}: sweep case count");
             for (i, case) in cases.iter().enumerate() {
                 match case {
                     ResponseBody::CaseOutcome {
@@ -129,20 +132,20 @@ fn exercise(addr: SocketAddr, sending: Sending, what: &str) {
                         name,
                         outcome,
                     } => {
-                        assert_eq!(*index, i, "{what}: batch case index");
-                        assert_eq!(*total, clips.len(), "{what}: batch case total");
-                        assert_eq!(name, clips[i].name(), "{what}: batch case name");
+                        assert_eq!(*index, i, "{what}: sweep case index");
+                        assert_eq!(*total, clips.len(), "{what}: sweep case total");
+                        assert_eq!(name, clips[i].name(), "{what}: sweep case name");
                         assert_outcome_matches(
                             outcome,
                             &offline[i],
-                            &format!("{what}: batch case {i}"),
+                            &format!("{what}: sweep case {i}"),
                         );
                     }
-                    other => panic!("{what}: unexpected batch case: {other:?}"),
+                    other => panic!("{what}: unexpected sweep case: {other:?}"),
                 }
             }
         }
-        other => panic!("{what}: unexpected batch completion: {other:?}"),
+        other => panic!("{what}: unexpected sweep completion: {other:?}"),
     }
 }
 

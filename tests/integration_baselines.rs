@@ -5,6 +5,7 @@ use camo::{CamoConfig, CamoEngine};
 use camo_baselines::{CalibreLikeOpc, DamoLikeOpc, OpcConfig, OpcEngine, PixelIlt};
 use camo_geometry::{Clip, Rect};
 use camo_litho::{LithoConfig, LithoSimulator};
+use std::time::Instant;
 
 fn two_via_clip() -> Clip {
     let mut clip = Clip::with_name(Rect::new(0, 0, 900, 900), "IB1");
@@ -55,13 +56,20 @@ fn one_shot_engine_is_fastest_iterative_engines_are_more_accurate() {
     let sim = LithoSimulator::new(LithoConfig::fast());
     let opc = fast_opc(6);
 
+    // Engines never read the clock, so the test times each call itself,
+    // after one untimed call has filled the simulator's workspace pool.
+    let _ = DamoLikeOpc::new(opc.clone()).optimize(&clip, &sim);
+    let start = Instant::now();
     let damo_outcome = DamoLikeOpc::new(opc.clone()).optimize(&clip, &sim);
+    let damo_time = start.elapsed();
+    let start = Instant::now();
     let calibre_outcome = CalibreLikeOpc::new(opc.clone()).optimize(&clip, &sim);
+    let calibre_time = start.elapsed();
 
     // Runtime ordering: the one-shot engine performs a single simulation
     // round, the iterative one several.
     assert!(damo_outcome.steps < calibre_outcome.steps.max(2));
-    assert!(damo_outcome.runtime <= calibre_outcome.runtime);
+    assert!(damo_time <= calibre_time);
     // Accuracy ordering (the headline shape of Table 1).
     assert!(calibre_outcome.total_epe() <= damo_outcome.total_epe() + 1e-9);
 }

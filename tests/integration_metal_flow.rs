@@ -7,7 +7,7 @@ mod oracle;
 use camo::engine::action_to_move;
 use camo::{CamoConfig, CamoEngine};
 use camo_baselines::{CalibreLikeOpc, OpcConfig, OpcEngine};
-use camo_geometry::{Coord, FragmentationParams};
+use camo_geometry::FragmentationParams;
 use camo_litho::{LithoConfig, LithoSimulator};
 use camo_workloads::{metal_test_set, MetalGenerator, MetalParams};
 
@@ -97,26 +97,21 @@ fn modulator_ablation_changes_metal_trajectory() {
 
 #[test]
 fn node_features_match_the_per_cell_oracle_at_every_step_of_a_metal_trajectory() {
-    // The loop of `CamoEngine::optimize`, with the features of every step
-    // compared to the former per-segment encoder.
+    // `CamoEngine::optimize`'s chooser on the shared step loop, with the
+    // features of every step compared to the former per-segment encoder.
     let clip = &metal_test_set()[0].clip;
     let sim = LithoSimulator::new(LithoConfig::fast());
     let mut engine = CamoEngine::new(OpcConfig::metal_layer(), CamoConfig::fast());
     let opc = engine.opc_config().clone();
     let initial = opc.initial_mask(clip);
     let graph = engine.graph(&initial);
-    let mut eval = sim.evaluator(&initial);
-    let mut epe = eval.epe();
     let mut steps = 0;
-    for _ in 0..opc.max_steps {
-        if opc.early_exit(epe.mean_abs()) {
-            break;
-        }
-        let features = engine.node_features(eval.mask());
-        assert_eq!(features.len(), eval.mask().segment_count());
+    let replay = opc.run_steps(&initial, &sim, |mask, epe| {
+        let features = engine.node_features(mask);
+        assert_eq!(features.len(), mask.segment_count());
         for (segment, got) in features.iter().enumerate() {
             let expected =
-                oracle::segment_features_stacked(eval.mask(), segment, &engine.config().features);
+                oracle::segment_features_stacked(mask, segment, &engine.config().features);
             assert!(
                 got.iter()
                     .map(|v| v.to_bits())
@@ -124,16 +119,17 @@ fn node_features_match_the_per_cell_oracle_at_every_step_of_a_metal_trajectory()
                 "step {steps}, segment {segment}: features differ from the oracle"
             );
         }
-        let decisions = engine.decide(eval.mask(), &graph, &epe, None);
-        let moves: Vec<Coord> = decisions.iter().map(|(a, _)| action_to_move(*a)).collect();
-        eval.apply_moves(&moves);
-        epe = eval.epe();
         steps += 1;
-    }
-    assert!(steps > 1, "the trajectory must move the mask");
-    assert_ne!(eval.mask().offsets(), initial.offsets());
-    // The replayed loop is the engine's own trajectory.
+        engine
+            .decide(mask, &graph, epe, None)
+            .iter()
+            .map(|(a, _)| action_to_move(*a))
+            .collect()
+    });
+    assert!(replay.steps > 1, "the trajectory must move the mask");
+    assert_ne!(replay.mask.offsets(), initial.offsets());
+    // The replayed chooser is the engine's own.
     let outcome = engine.optimize(clip, &sim);
-    assert_eq!(outcome.steps, steps);
-    assert_eq!(outcome.mask.offsets(), eval.mask().offsets());
+    assert_eq!(outcome.steps, replay.steps);
+    assert_eq!(outcome.mask.offsets(), replay.mask.offsets());
 }
