@@ -36,7 +36,7 @@
 //! `camo-serve` server is started in-process on an ephemeral port, a
 //! deterministic mixed request stream is fired at it over loopback, and
 //! end-to-end requests/s is recorded per worker-thread count — plus a
-//! queue-saturation probe (dispatchers disabled, bounded queue) counting
+//! queue-saturation probe (no workers, bounded queue) counting
 //! typed `busy` rejections. Any failed or missing response exits 1. The
 //! section also snapshots the server's `metrics` report and records
 //! per-request-kind latency (p50/p99/max µs) — asserting the rows are
@@ -709,7 +709,7 @@ fn trace_overhead(requests: usize) -> TraceRow {
     row
 }
 
-/// Saturates a dispatcher-less server and counts the typed rejections: a
+/// Saturates a worker-less server and counts the typed rejections: a
 /// burst of `queue_depth + overflow` requests must yield exactly `overflow`
 /// `busy` responses carrying the retry hint.
 fn serve_saturation(queue_depth: usize, overflow: usize) -> ServeSaturation {
@@ -722,7 +722,7 @@ fn serve_saturation(queue_depth: usize, overflow: usize) -> ServeSaturation {
     let retry_after_ms = 50;
     let handle = serve(ServerConfig {
         queue_depth,
-        dispatchers: 0,
+        threads: 0,
         retry_after_ms,
         ..ServerConfig::default()
     })

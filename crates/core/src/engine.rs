@@ -96,15 +96,27 @@ impl CamoEngine {
         mask: &MaskState,
         graph: &SegmentGraph,
         epe: &EpeReport,
+        rng: Option<&mut StdRng>,
+    ) -> Vec<(usize, Vec<f64>)> {
+        self.decide_on_features(&self.node_features(mask), graph, epe, rng)
+    }
+
+    /// [`Self::decide`] on the mask's features as [`Self::node_features`]
+    /// returned them, for a caller that keeps the features too (the
+    /// REINFORCE rollout records them), so a step encodes its mask once.
+    pub fn decide_on_features(
+        &self,
+        features: &[Vec<f64>],
+        graph: &SegmentGraph,
+        epe: &EpeReport,
         mut rng: Option<&mut StdRng>,
     ) -> Vec<(usize, Vec<f64>)> {
         debug_assert_eq!(
             epe.per_point.len(),
-            mask.segment_count(),
+            features.len(),
             "per-point EPE count must match the mask's segment count"
         );
-        let features = self.node_features(mask);
-        let logits = self.policy.forward_inference(&features, graph.adjacency());
+        let logits = self.policy.forward_inference(features, graph.adjacency());
         logits
             .into_iter()
             .enumerate()

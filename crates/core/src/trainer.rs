@@ -230,7 +230,7 @@ impl CamoTrainer {
         let (trajectory, steps) = opc.rollout(&mask, simulator, reward, |mask, epe| {
             let features = engine.node_features(mask);
             let actions: Vec<usize> = engine
-                .decide(mask, &graph, epe, Some(&mut rng))
+                .decide_on_features(&features, &graph, epe, Some(&mut rng))
                 .iter()
                 .map(|(a, _)| *a)
                 .collect();

@@ -44,7 +44,7 @@ const DETERMINISM_BANNED: &[&str] = &[
 ];
 
 /// Crates whose long-lived processes must degrade with typed errors, not
-/// panics (a panicking dispatcher takes the whole tier down with it).
+/// panics (a panicking worker takes the whole tier down with it).
 const PANIC_SCOPE: &[&str] = &["crates/serve/src", "crates/runtime/src"];
 
 fn in_scope(rule: &str, rel: &str, builtin: &[&str], config: &Config) -> bool {

@@ -132,11 +132,19 @@ impl SageLayer {
     ///
     /// Panics if `forward` was not called first.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self
-            .cache
+        // Borrow the cache field by field: the parameter gradients below
+        // need `&mut` to the weights while the cache is only read.
+        let Self {
+            w_self,
+            w_neigh,
+            bias,
+            in_features,
+            out_features,
+            cache,
+        } = self;
+        let cache = cache
             .as_ref()
-            .expect("SageLayer::backward called before forward")
-            .clone();
+            .expect("SageLayer::backward called before forward");
         let n = cache.input.shape()[0];
         // Through the ReLU.
         let mut dpre = grad_output.clone();
@@ -148,23 +156,23 @@ impl SageLayer {
         // Parameter gradients.
         let dw_self = dpre.transposed().matmul(&cache.input);
         let dw_neigh = dpre.transposed().matmul(&cache.aggregated);
-        self.w_self.grad.add_scaled(&dw_self, 1.0);
-        self.w_neigh.grad.add_scaled(&dw_neigh, 1.0);
+        w_self.grad.add_scaled(&dw_self, 1.0);
+        w_neigh.grad.add_scaled(&dw_neigh, 1.0);
         for v in 0..n {
-            for j in 0..self.out_features {
-                self.bias.grad.data_mut()[j] += dpre.at2(v, j);
+            for j in 0..*out_features {
+                bias.grad.data_mut()[j] += dpre.at2(v, j);
             }
         }
         // Input gradients: the self path plus the aggregation path.
-        let mut grad_input = dpre.matmul(&self.w_self.value);
-        let d_agg = dpre.matmul(&self.w_neigh.value);
+        let mut grad_input = dpre.matmul(&w_self.value);
+        let d_agg = dpre.matmul(&w_neigh.value);
         for (w, neigh) in cache.adjacency.iter().enumerate() {
             if neigh.is_empty() {
                 continue;
             }
             let scale = 1.0 / neigh.len() as f64;
             for &u in neigh {
-                for j in 0..self.in_features {
+                for j in 0..*in_features {
                     let val = grad_input.at2(u, j) + d_agg.at2(w, j) * scale;
                     grad_input.set2(u, j, val);
                 }

@@ -9,6 +9,10 @@
 //! the queue is closed and drained. Closing never discards items: everything
 //! enqueued before [`BoundedQueue::close`] is still handed out, which is what
 //! makes graceful drain-then-join shutdown possible.
+//!
+//! [`BoundedQueue::prepend`] puts follow-on work of an already admitted item
+//! at the head, outside the bound: a consumer that split one item into
+//! several hands the rest to idle siblings without ever being refused.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -50,6 +54,23 @@ struct State<T> {
     /// metrics plane, updated under the same lock as the push itself so it
     /// is exact, not sampled.
     high_water: usize,
+    /// How many items at the head came from [`BoundedQueue::prepend`].
+    /// Prepending pushes at the front and pops take the front, so those
+    /// items are always a prefix of `items`.
+    prepended: usize,
+}
+
+impl<T> State<T> {
+    /// Items counted against the capacity (prepended ones are not).
+    fn bounded(&self) -> usize {
+        self.items.len() - self.prepended
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let item = self.items.pop_front()?;
+        self.prepended = self.prepended.saturating_sub(1);
+        Some(item)
+    }
 }
 
 /// A bounded multi-producer/multi-consumer FIFO on `Mutex` + `Condvar`.
@@ -74,6 +95,7 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
                 high_water: 0,
+                prepended: 0,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -86,14 +108,15 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Number of items currently queued.
+    /// Number of items currently queued against the capacity (items from
+    /// [`Self::prepend`] are not counted).
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        self.lock().bounded()
     }
 
-    /// True when nothing is queued.
+    /// True when [`Self::len`] is zero.
     pub fn is_empty(&self) -> bool {
-        self.lock().items.is_empty()
+        self.len() == 0
     }
 
     /// True once [`Self::close`] has been called.
@@ -114,11 +137,11 @@ impl<T> BoundedQueue<T> {
         if state.closed {
             return Err(PushError::Closed(item));
         }
-        if state.items.len() == self.capacity {
+        if state.bounded() == self.capacity {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
+        state.high_water = state.high_water.max(state.bounded());
         drop(state);
         self.not_empty.notify_one();
         Ok(())
@@ -132,9 +155,9 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return Err(PushError::Closed(item));
             }
-            if state.items.len() < self.capacity {
+            if state.bounded() < self.capacity {
                 state.items.push_back(item);
-                state.high_water = state.high_water.max(state.items.len());
+                state.high_water = state.high_water.max(state.bounded());
                 drop(state);
                 self.not_empty.notify_one();
                 return Ok(());
@@ -146,13 +169,38 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Inserts `items` at the head, in iteration order, ahead of everything
+    /// queued. They are outside the bound: never refused (not even after
+    /// [`Self::close`]; consumers still drain them before observing
+    /// `None`), and never counted by [`Self::len`] or
+    /// [`Self::high_water`].
+    pub fn prepend<I>(&self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut state = self.lock();
+        let before = state.items.len();
+        for item in items.into_iter().rev() {
+            state.items.push_front(item);
+        }
+        let added = state.items.len() - before;
+        state.prepended += added;
+        drop(state);
+        match added {
+            0 => {}
+            1 => self.not_empty.notify_one(),
+            _ => self.not_empty.notify_all(),
+        }
+    }
+
     /// Dequeues, blocking until an item arrives. Returns `None` only when
     /// the queue is closed **and** drained, so no enqueued item is lost to
     /// shutdown.
     pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
-            if let Some(item) = state.items.pop_front() {
+            if let Some(item) = state.pop_front() {
                 drop(state);
                 self.not_full.notify_one();
                 return Some(item);
@@ -170,7 +218,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeues without blocking (`None` when nothing is queued right now —
     /// callers that must distinguish emptiness from closure use [`Self::pop`]).
     pub fn try_pop(&self) -> Option<T> {
-        let item = self.lock().items.pop_front();
+        let item = self.lock().pop_front();
         if item.is_some() {
             self.not_full.notify_one();
         }
@@ -222,6 +270,28 @@ mod tests {
         // ...and a rejected push does not raise it.
         q.try_push(1).unwrap();
         assert_eq!(q.high_water(), 3);
+    }
+
+    #[test]
+    fn prepended_items_come_first_outside_the_bound() {
+        let q = BoundedQueue::new(2);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        q.prepend([10, 11, 12]);
+        // Outside the bound: a full queue still takes them, and neither
+        // the length nor the high-water mark counts them.
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.high_water(), 2);
+        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        // Draining a prepended item frees no bounded slot...
+        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        // ...and closing refuses pushes but neither prepends nor the drain.
+        q.close();
+        q.prepend([20]);
+        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, [20, 11, 12, 1, 2]);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--host 127.0.0.1] [--port 7878] [--threads N] [--queue-depth N]
-//!       [--max-connections N] [--dispatchers N] [--retry-after-ms N]
+//!       [--max-connections N] [--retry-after-ms N] [--context-capacity N]
 //!       [--port-file PATH] [--trace-sample N]
 //!       [--shards N|auto] [--forwarders N]
 //!       [--probe-interval-ms N] [--probe-timeout-ms N]
@@ -14,6 +14,9 @@
 //! Every connection opens with a one-line text `hello` answered by a
 //! `hello_ack`; everything after it is binary frames (see
 //! `docs/WIRE_PROTOCOL.md`).
+//!
+//! `--threads N` starts `N` long-lived worker threads; each runs whole
+//! requests or single clips, sweep cases and layout tiles of one.
 //!
 //! `--port 0` binds an ephemeral port; the bound address is printed on
 //! stdout and, with `--port-file`, written to a file so scripts (CI smoke)
@@ -45,10 +48,8 @@ const SHARD_FLAGS: &[&str] = &[
     "--threads",
     "--queue-depth",
     "--max-connections",
-    "--dispatchers",
     "--retry-after-ms",
     "--context-capacity",
-    "--coalesce-limit",
     "--trace-sample",
 ];
 
@@ -159,7 +160,7 @@ fn main() {
     });
     let shards: usize = match flag_value(&args, "--shards").as_deref() {
         // Elastic sizing: one shard per four available threads keeps each
-        // shard's dispatcher pool meaningful, and a floor of two preserves
+        // shard's worker pool meaningful, and a floor of two preserves
         // the tier's reason to exist (routing, failover) on small hosts.
         Some("auto") => (camo_runtime::available_threads() / 4).max(2),
         Some(raw) => raw.parse().unwrap_or_else(|_| {
@@ -177,13 +178,17 @@ fn main() {
         threads: parsed_flag(&args, "--threads", defaults.threads),
         queue_depth: parsed_flag(&args, "--queue-depth", defaults.queue_depth),
         max_connections: parsed_flag(&args, "--max-connections", defaults.max_connections),
-        dispatchers: parsed_flag(&args, "--dispatchers", defaults.dispatchers),
         retry_after_ms: parsed_flag(&args, "--retry-after-ms", defaults.retry_after_ms),
         context_capacity: parsed_flag(&args, "--context-capacity", defaults.context_capacity),
-        coalesce_limit: parsed_flag(&args, "--coalesce-limit", defaults.coalesce_limit),
         trace_sample: parsed_flag(&args, "--trace-sample", defaults.trace_sample),
     };
     let threads = config.threads;
+    // Zero workers is an in-process test hook (a queue nothing drains),
+    // never a server worth starting.
+    if threads == 0 {
+        eprintln!("invalid server configuration: threads must be positive");
+        std::process::exit(2);
+    }
     let queue_depth = config.queue_depth;
     let handle = match serve(config) {
         Ok(handle) => handle,

@@ -1,8 +1,8 @@
 //! The blocking client: framed send/receive plus request-id correlation.
 //!
 //! Responses stream back in **completion order**, not submission order — a
-//! coalesced batch may finish before an earlier expensive request, and
-//! sweep cases arrive as separate frames. [`ResponseRouter`] reassembles
+//! cheap request may finish before an earlier expensive one, and sweep
+//! cases arrive as separate frames. [`ResponseRouter`] reassembles
 //! that stream: every response is filed under its request id, and a request
 //! is *complete* once its single result arrived (optimize / evaluate /
 //! layout / busy / error / shutting-down) or every sweep case index

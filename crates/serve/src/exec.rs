@@ -1,30 +1,27 @@
-//! Request execution: specs → engines/simulators → batch runtime calls.
+//! Request execution: specs → engines/simulators → tasks.
 //!
 //! This module is the single place where wire specs are materialised into
-//! concrete engines and where coalesced batches hit `camo-runtime`. The
-//! server dispatcher and the offline verifier (`camo-client --verify`, the
-//! end-to-end identity tests) both call these functions, so "server result
-//! == offline result" reduces to the runtime's own determinism contract:
+//! concrete engines and simulators. The server runs each request as the
+//! tasks of its `Plan`: one per optimize clip, sweep case, evaluate probe
+//! or layout tile. Each task is the per-item body of a `camo-runtime` batch
+//! call — `engine.clone().optimize(clip, sim)` as in [`optimize_batch`] and
+//! [`sweep_cases`], `sim.evaluate(..)` of the [`evaluate_mask`], and
+//! [`evaluate_tile`] followed by one [`stitch_layout`] as in
+//! [`evaluate_layout`]. The offline verifier (`camo-client --verify`, the
+//! end-to-end identity tests) calls those batch functions through
+//! [`run_optimize`]/[`run_sweep`]/[`run_layout`], so "server result ==
+//! offline result" reduces to the runtime's own determinism contract:
 //! engines are rebuilt identically from the same [`JobSpec`], simulators
-//! share one [`camo_litho::LithoContext`] per configuration, and
-//! [`optimize_batch`]/[`sweep_cases`]/[`evaluate_layout`] are bit-identical
-//! to serial loops at any thread count.
-//!
-//! # Coalescing
-//!
-//! Two queued requests are **compatible** when [`coalesce_key`] returns the
-//! same key: same request kind, same lithography fingerprint and (for
-//! optimization) the same engine/step specification. The dispatcher merges
-//! compatible single-clip requests into one `optimize_batch` /
-//! `parallel_map` call, so a burst of small requests shares one context
-//! lookup and one worker-pool fan-out instead of paying per-request setup.
+//! share one [`camo_litho::LithoContext`] per configuration, and the batch
+//! calls are bit-identical to serial loops at any thread count.
 
 use crate::wire::{EngineKind, JobSpec, Layer, LithoSpec, RequestBody, ResponseBody, WireOutcome};
 use camo::{CamoConfig, CamoEngine};
-use camo_baselines::{CalibreLikeOpc, OpcConfig, OpcOutcome};
+use camo_baselines::{CalibreLikeOpc, OpcConfig, OpcEngine, OpcOutcome};
 use camo_geometry::{Clip, Coord, MaskState};
+use camo_litho::tiling::{evaluate_tile, stitch_layout, tile_layout, LayoutTile, TileEvaluation};
 use camo_litho::{LithoSimulator, SimulationResult, Tiler};
-use camo_runtime::{evaluate_layout, optimize_batch, parallel_map, sweep_cases};
+use camo_runtime::{evaluate_layout, optimize_batch, sweep_cases};
 use camo_workloads::generate_layout;
 
 /// The OPC layer presets a [`Layer`] names.
@@ -57,6 +54,17 @@ pub enum Engine {
     Calibre(CalibreLikeOpc),
     /// The CAMO policy engine (fast configuration).
     Camo(Box<CamoEngine>),
+}
+
+impl Engine {
+    /// Optimises `clip` on a fresh clone of this engine: the per-clip body
+    /// of [`optimize_batch`].
+    fn optimize(&self, clip: &Clip, sim: &LithoSimulator) -> OpcOutcome {
+        match self {
+            Self::Calibre(engine) => engine.clone().optimize(clip, sim),
+            Self::Camo(engine) => CamoEngine::clone(engine).optimize(clip, sim),
+        }
+    }
 }
 
 /// Builds the engine a [`JobSpec`] describes. Deterministic: the same spec
@@ -112,15 +120,10 @@ pub fn evaluate_mask(layer: Layer, bias: Coord, clip: &Clip) -> MaskState {
     mask
 }
 
-/// Evaluates a batch of `(layer, bias, clip)` probes on the pool.
-pub fn run_evaluate(
-    probes: &[(Layer, Coord, Clip)],
-    sim: &LithoSimulator,
-    threads: usize,
-) -> Vec<SimulationResult> {
-    parallel_map(threads, probes, |_, (layer, bias, clip)| {
-        sim.evaluate(&evaluate_mask(*layer, *bias, clip))
-    })
+/// The layout mask a layout request describes, generated deterministically
+/// from `(params, seed)`.
+fn layout_mask(params: &camo_workloads::LayoutParams, seed: u64) -> MaskState {
+    generate_layout(format!("serve{seed}"), params, seed).initial_mask()
 }
 
 /// Tiled layout evaluation: generates the layout deterministically from
@@ -132,9 +135,122 @@ pub fn run_layout(
     sim: &LithoSimulator,
     threads: usize,
 ) -> camo_litho::LayoutReport {
-    let case = generate_layout(format!("serve{seed}"), params, seed);
-    let mask = case.initial_mask();
+    let mask = layout_mask(params, seed);
     evaluate_layout(sim, &mask, &Tiler::new(tile_nm), threads)
+}
+
+/// A request split into independent tasks, all on one simulator. Optimize
+/// and evaluate requests are one task, a sweep one per case and a layout
+/// one per tile; every method takes the request body the plan was made
+/// from.
+pub(crate) struct Plan {
+    sim: LithoSimulator,
+    /// A layout request's mask and tiles (the tiles are its tasks).
+    layout: Option<(MaskState, Vec<LayoutTile>)>,
+}
+
+/// What one task leaves for its request's response.
+pub(crate) enum Output {
+    /// A finished response frame: an optimize or evaluate result, or one
+    /// sweep case.
+    Frame(ResponseBody),
+    /// A layout tile, stitched once every tile is in.
+    Tile(TileEvaluation),
+}
+
+impl Plan {
+    /// Plans `body` on `sim`, the simulator of its lithography spec. A
+    /// layout is generated and tiled here.
+    pub(crate) fn new(body: &RequestBody, sim: LithoSimulator) -> Self {
+        let layout = match body {
+            RequestBody::Layout {
+                params,
+                seed,
+                tile_nm,
+                ..
+            } => {
+                let mask = layout_mask(params, *seed);
+                let tiles = tile_layout(&mask, sim.config(), &Tiler::new(*tile_nm));
+                Some((mask, tiles))
+            }
+            _ => None,
+        };
+        Self { sim, layout }
+    }
+
+    /// How many tasks the request runs as.
+    pub(crate) fn tasks(&self, body: &RequestBody) -> usize {
+        match (body, &self.layout) {
+            (RequestBody::Sweep { cases, .. }, _) => cases.len(),
+            (_, Some((_, tiles))) => tiles.len(),
+            _ => 1,
+        }
+    }
+
+    /// Runs task `index`, building its engine through `engines`.
+    pub(crate) fn run(&self, body: &RequestBody, index: usize, engines: &mut EngineMemo) -> Output {
+        if let Some((_, tiles)) = &self.layout {
+            return Output::Tile(evaluate_tile(&self.sim, &tiles[index]));
+        }
+        Output::Frame(match body {
+            RequestBody::Optimize { job, clip } => {
+                ResponseBody::Outcome(wire_outcome(&engines.get(job).optimize(clip, &self.sim)))
+            }
+            RequestBody::Sweep { job, cases } => {
+                let (name, clip) = &cases[index];
+                let outcome = engines.get(job).optimize(clip, &self.sim);
+                ResponseBody::CaseOutcome {
+                    index,
+                    total: cases.len(),
+                    name: name.clone(),
+                    outcome: wire_outcome(&outcome),
+                }
+            }
+            RequestBody::Evaluate {
+                layer, bias, clip, ..
+            } => wire_evaluation(&self.sim.evaluate(&evaluate_mask(*layer, *bias, clip))),
+            _ => unreachable!("layouts run as tiles; control kinds are answered by the reader"),
+        })
+    }
+
+    /// The response frames of a request whose tasks left `outputs`, in task
+    /// order: the task frames as they are, or a layout's stitched report.
+    pub(crate) fn finish(&self, outputs: Vec<Output>) -> Vec<ResponseBody> {
+        let (mut frames, mut evals) = (Vec::new(), Vec::new());
+        for output in outputs {
+            match output {
+                Output::Frame(body) => frames.push(body),
+                Output::Tile(eval) => evals.push(eval),
+            }
+        }
+        if let Some((mask, tiles)) = &self.layout {
+            let report = stitch_layout(mask, tiles, &evals, self.sim.config().epe_search_range);
+            frames.push(ResponseBody::LayoutReport {
+                tiles: report.tiles,
+                epe_per_point: report.epe.per_point,
+                pv_band: report.pv_band,
+            });
+        }
+        frames
+    }
+}
+
+/// One worker's last built engine, keyed by its spec. A rebuild from the
+/// same spec is bit-identical ([`build_engine`]), so reusing the last build
+/// is safe, and consecutive tasks of one spec build it once.
+#[derive(Default)]
+pub(crate) struct EngineMemo(Option<(JobSpec, Engine)>);
+
+impl EngineMemo {
+    fn get(&mut self, job: &JobSpec) -> &Engine {
+        if self.0.as_ref().is_some_and(|(spec, _)| spec != job) {
+            self.0 = None;
+        }
+        let (_, engine) = self
+            .0
+            .get_or_insert_with(|| (job.clone(), build_engine(job)));
+        engine
+    }
 }
 
 /// Converts a runtime outcome into its wire form (the bits the identity
@@ -154,33 +270,6 @@ pub fn wire_evaluation(result: &SimulationResult) -> ResponseBody {
         epe_per_point: result.epe.per_point.clone(),
         pv_band: result.pv_band,
     }
-}
-
-/// The key under which requests may share one batch execution. `None` for
-/// kinds that never coalesce (sweep and layout execute as their own batch;
-/// ping/metrics/restart/shutdown/hello never reach the dispatcher).
-pub fn coalesce_key(body: &RequestBody) -> Option<CoalesceKey> {
-    match body {
-        RequestBody::Optimize { job, .. } => Some(CoalesceKey {
-            kind: "optimize",
-            litho_fp: job.litho.to_config().fingerprint(),
-            job: Some(job.clone()),
-        }),
-        RequestBody::Evaluate { litho, .. } => Some(CoalesceKey {
-            kind: "evaluate",
-            litho_fp: litho.to_config().fingerprint(),
-            job: None,
-        }),
-        _ => None,
-    }
-}
-
-/// See [`coalesce_key`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoalesceKey {
-    kind: &'static str,
-    litho_fp: u64,
-    job: Option<JobSpec>,
 }
 
 /// Maps a generated workload case ([`camo_workloads::ServeCase`]) onto a
@@ -242,38 +331,62 @@ mod tests {
         c
     }
 
+    /// A sweep plan's tasks, run one by one in reverse order through one
+    /// engine memo shared across job specs, finish into the frames of the
+    /// batch call, bit for bit.
     #[test]
-    fn coalesce_keys_separate_incompatible_jobs() {
-        let a = RequestBody::Optimize {
-            job: JobSpec::fast_calibre_via(),
-            clip: clip(),
+    fn planned_sweep_tasks_reproduce_the_batch_call() {
+        let calibre = JobSpec {
+            max_steps: Some(2),
+            ..JobSpec::fast_calibre_via()
         };
-        let b = RequestBody::Optimize {
-            job: JobSpec {
-                max_steps: Some(1),
-                ..JobSpec::fast_calibre_via()
-            },
-            clip: clip(),
+        let camo = JobSpec {
+            engine: EngineKind::Camo { seed: 5 },
+            ..calibre.clone()
         };
-        let c = RequestBody::Evaluate {
-            litho: LithoSpec::fast(),
-            layer: Layer::Via,
-            bias: 3,
-            clip: clip(),
-        };
-        assert_eq!(coalesce_key(&a), coalesce_key(&a.clone()));
-        assert_ne!(coalesce_key(&a), coalesce_key(&b));
-        assert_ne!(coalesce_key(&a), coalesce_key(&c));
-        // Evaluate requests coalesce across layers/biases: only the litho
-        // configuration must match.
-        let d = RequestBody::Evaluate {
-            litho: LithoSpec::fast(),
-            layer: Layer::Metal,
-            bias: 0,
-            clip: clip(),
-        };
-        assert_eq!(coalesce_key(&c), coalesce_key(&d));
-        assert_eq!(coalesce_key(&RequestBody::Ping), None);
+        let sim = LithoSimulator::new(calibre.litho.to_config());
+        let cases: Vec<(String, Clip)> = camo_workloads::via_test_set()
+            .iter()
+            .take(3)
+            .map(|c| (c.clip.name().to_string(), c.clip.clone()))
+            .collect();
+        let mut engines = EngineMemo::default();
+        for job in [&calibre, &camo, &calibre] {
+            let body = RequestBody::Sweep {
+                job: job.clone(),
+                cases: cases.clone(),
+            };
+            let plan = Plan::new(&body, sim.clone());
+            assert_eq!(plan.tasks(&body), cases.len());
+            let mut outputs: Vec<Output> = (0..cases.len())
+                .rev()
+                .map(|index| plan.run(&body, index, &mut engines))
+                .collect();
+            outputs.reverse();
+            let frames = plan.finish(outputs);
+            let offline = run_sweep(job, &cases, &sim, 2);
+            assert_eq!(frames.len(), offline.len());
+            for (index, (frame, (name, outcome))) in frames.iter().zip(&offline).enumerate() {
+                let ResponseBody::CaseOutcome {
+                    index: got_index,
+                    total,
+                    name: got_name,
+                    outcome: wire,
+                } = frame
+                else {
+                    panic!("unexpected frame {frame:?}");
+                };
+                assert_eq!((*got_index, *total, got_name), (index, cases.len(), name));
+                let expected = wire_outcome(outcome);
+                assert_eq!(
+                    (&wire.offsets, wire.steps),
+                    (&expected.offsets, expected.steps)
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&wire.epe_per_point), bits(&expected.epe_per_point));
+                assert_eq!(wire.pv_band.to_bits(), expected.pv_band.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Control requests are answered by the reader thread itself — never
 //! queued — so health and observability stay responsive even when the
 //! request queue is saturated. Only what happens to an *admitted* request
-//! differs — the server queues it for its dispatchers, the router for its
+//! differs — the server queues it for its workers, the router for its
 //! forwarders — so that single decision is the [`FrontHandler`] trait and
 //! everything else lives here once.
 
@@ -127,8 +127,8 @@ impl Outbound {
 }
 
 /// One request admitted past the connection tier: the decoded request plus
-/// the sender feeding its connection's writer thread. The element type of
-/// both the server's dispatch queue and the router's forwarding queue.
+/// the sender feeding its connection's writer thread. What the server's
+/// work queue and the router's forwarding queue are fed.
 pub(crate) struct AdmittedRequest {
     pub(crate) reply: Sender<Outbound>,
     pub(crate) request: Request,
@@ -141,11 +141,14 @@ pub(crate) struct AdmittedRequest {
 /// What the embedding process does with an admitted request; everything
 /// else about a connection's life is shared.
 pub(crate) trait FrontHandler: Send + Sync + 'static {
+    /// What the request queue holds: admitted requests, possibly among
+    /// other work (the server's queue also carries follow-on tasks).
+    type Queued: From<AdmittedRequest>;
     /// The embedded connection-tier state.
     fn front(&self) -> &FrontState;
     /// The bounded queue admitted requests are pushed onto; its overflow is
     /// the backpressure signal.
-    fn queue(&self) -> &camo_runtime::BoundedQueue<AdmittedRequest>;
+    fn queue(&self) -> &camo_runtime::BoundedQueue<Self::Queued>;
     /// A client asked the process to drain and exit (the acknowledgement
     /// has already been sent).
     fn on_shutdown_request(&self);
@@ -182,36 +185,25 @@ pub(crate) trait FrontHandler: Send + Sync + 'static {
         if request.trace.is_none() {
             request.trace = self.tracer().maybe_assign();
         }
-        let trace = request.trace;
+        let (id, trace) = (request.id, request.trace);
         let admitted_at = Instant::now();
         let admitted = AdmittedRequest {
             reply: reply.clone(),
             request,
             admitted_at,
         };
-        match self.queue().try_push(admitted) {
-            Ok(()) => {}
-            Err(camo_runtime::PushError::Full(a)) => {
+        let refusal = match self.queue().try_push(admitted.into()) {
+            Ok(()) => None,
+            Err(camo_runtime::PushError::Full(_)) => {
                 self.front().rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
-                let _ = a.reply.send(Outbound::traced(
-                    Response {
-                        id: a.request.id,
-                        body: ResponseBody::Busy {
-                            retry_after_ms: self.front().retry_after_ms,
-                        },
-                    },
-                    a.request.trace,
-                ));
+                Some(ResponseBody::Busy {
+                    retry_after_ms: self.front().retry_after_ms,
+                })
             }
-            Err(camo_runtime::PushError::Closed(a)) => {
-                let _ = a.reply.send(Outbound::traced(
-                    Response {
-                        id: a.request.id,
-                        body: ResponseBody::ShuttingDown,
-                    },
-                    a.request.trace,
-                ));
-            }
+            Err(camo_runtime::PushError::Closed(_)) => Some(ResponseBody::ShuttingDown),
+        };
+        if let Some(body) = refusal {
+            let _ = reply.send(Outbound::traced(Response { id, body }, trace));
         }
         if let Some(id) = trace {
             self.tracer().record_since(id, Stage::Admit, admitted_at);

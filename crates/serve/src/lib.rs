@@ -15,10 +15,10 @@
 //!
 //! ```text
 //!                ┌────────────────────────── serve process ─────────────────────────┐
-//!  client ──TCP──▶ acceptor ─▶ reader ──try_push──▶ BoundedQueue ──pop──▶ dispatchers │
-//!  (camo-client)│     │          │ full → Busy{retry_after_ms}       (ServicePool)   │
-//!               │     │          ▼                                       │ coalesce  │
-//!               │     │        writer ◀───────── responses ──────────────┤ by config │
+//!  client ──TCP──▶ acceptor ─▶ reader ──try_push──▶ BoundedQueue ──pop──▶ workers    │
+//!  (camo-client)│     │          │ full → Busy{retry_after_ms}   ▲    (ServicePool)  │
+//!               │     │          ▼                               └─ prepend tasks ─┤ │
+//!               │     │        writer ◀─── responses (last task) ──────────────────┘ │
 //!               │     │     (per conn, binary frames, completion order)              │
 //!               │     └ max_connections cap                  ContextCache (LRU)      │
 //!               └──────────────────────────────────────────────────────────────────┘
@@ -46,12 +46,14 @@
 //! * [`server`] — acceptor + per-connection reader/writer threads, the
 //!   bounded request queue whose `try_push` failure becomes a typed
 //!   [`wire::ResponseBody::Busy`] rejection (backpressure, never blocking,
-//!   never silent drops), and dispatchers on a
-//!   [`camo_runtime::ServicePool`] that coalesce compatible requests into
-//!   `optimize_batch` / `sweep_cases` / `evaluate_layout` calls.
-//! * [`exec`] — the spec → engine/simulator materialisation shared by the
-//!   server and the offline verifier, which is what reduces "server ==
-//!   offline" to the batch runtime's own determinism contract.
+//!   never silent drops), and a work-conserving executor: `threads`
+//!   long-lived workers on one [`camo_runtime::ServicePool`] pop the queue,
+//!   plan each request into one task per clip, sweep case or layout tile,
+//!   and prepend the follow-on tasks for idle siblings to take.
+//! * [`exec`] — the spec → engine/simulator materialisation and the task
+//!   bodies shared by the server and the offline verifier: each task is
+//!   the per-item body of a batch-runtime call, which is what reduces
+//!   "server == offline" to the batch runtime's own determinism contract.
 //! * [`client`] — blocking client plus [`client::ResponseRouter`]
 //!   request-id correlation for the completion-ordered response stream.
 //! * [`shard`] / [`router`] — the multi-process tier: `std::process`

@@ -407,6 +407,8 @@ impl RouterShared {
 }
 
 impl FrontHandler for RouterShared {
+    type Queued = AdmittedRequest;
+
     fn front(&self) -> &FrontState {
         &self.front
     }

@@ -1,14 +1,15 @@
 //! The long-lived serving process: acceptor, per-connection reader/writer
-//! threads, a bounded request queue with backpressure, and dispatchers that
-//! coalesce compatible requests into batch-runtime calls.
+//! threads, a bounded request queue with backpressure, and a
+//! work-conserving executor: `threads` long-lived workers that run every
+//! request as tasks.
 //!
 //! # Thread anatomy
 //!
 //! ```text
-//! acceptor ──accept──▶ reader (1/conn) ──try_push──▶ BoundedQueue
-//!                        │  full? ──▶ Busy{retry_after_ms} to writer
-//!                        ▼
-//!                      writer (1/conn) ◀──respond── dispatchers (ServicePool)
+//! acceptor ──accept──▶ reader (1/conn) ──try_push──▶ BoundedQueue ◀─prepend tasks─┐
+//!                        │  full? ──▶ Busy{retry_after_ms} to writer │ pop         │
+//!                        ▼                                           ▼             │
+//!                      writer (1/conn) ◀──last task responds── workers (ServicePool)
 //! ```
 //!
 //! * The **acceptor** owns the listener (non-blocking, so shutdown is
@@ -19,41 +20,48 @@
 //!   the shared [`BoundedQueue`]. A full queue is answered *immediately*
 //!   with a typed [`ResponseBody::Busy`] rejection carrying a retry hint —
 //!   the reader never blocks, never drops a request silently.
-//! * **Dispatchers** run as jobs on a [`ServicePool`] (the runtime's
-//!   graceful-shutdown pool). Each pops a request, opportunistically drains
-//!   compatible neighbours ([`crate::exec::coalesce_key`]) and executes
-//!   them as one `optimize_batch`/`parallel_map` call on `threads` worker
-//!   threads. Simulators come from a shared [`ContextCache`], so every
-//!   request under one process configuration shares one immutable
-//!   [`camo_litho::LithoContext`] and one workspace pool.
+//! * **Workers** — `threads` long-lived jobs on one [`ServicePool`] — pop
+//!   the queue. The worker that pops a request plans it
+//!   (`exec::Plan`) into one task per clip, sweep case or layout
+//!   tile, on a simulator from the shared [`ContextCache`], so every
+//!   request under one configuration shares one immutable
+//!   [`camo_litho::LithoContext`] and one workspace pool. It prepends the
+//!   follow-on tasks to the queue, ahead of later requests and outside the
+//!   bound, where idle siblings take them, and runs the first task itself.
+//!   No worker waits at a barrier: whoever finishes a request's last task
+//!   builds its response frames and hands them to the writer. Each worker
+//!   keeps its last built engine ([`crate::exec`]'s memo), so consecutive
+//!   tasks of one job spec build it once.
 //! * Each connection's **writer** streams binary response frames in
 //!   completion order; clients correlate by request id.
+//!
+//! Planning and every task run under `catch_unwind`: a request with a
+//! failed task answers one typed `internal` error (never partial sweep
+//! frames), and the worker keeps serving.
 //!
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or a client `shutdown` request followed by
 //! [`ServerHandle::wait_for_shutdown_request`]) stops the acceptor, closes
 //! the request queue (later pushes answer `shutting_down`), lets the
-//! dispatchers drain everything already queued, read-shuts every connection
-//! so readers unblock, joins all threads and finally propagates the first
-//! dispatcher panic, if any — the [`ServicePool`] contract.
+//! workers drain every admitted request and its tasks, read-shuts every
+//! connection so readers unblock, joins all threads and finally propagates
+//! the first worker panic, if any — the [`ServicePool`] contract.
 
 use crate::error::ServeError;
-use crate::exec::{
-    coalesce_key, run_evaluate, run_layout, run_optimize, run_sweep, wire_evaluation, wire_outcome,
-};
+use crate::exec::{litho_spec, EngineMemo, Output, Plan};
 use crate::front::{acceptor_loop, AdmittedRequest, FrontHandler, FrontState, Outbound};
 use crate::stats::{KindLatencies, MetricsReport};
 use crate::trace::{RecorderSink, Stage, Tracer};
-use crate::wire::{ErrorCode, RequestBody, Response, ResponseBody};
+use crate::wire::{ErrorCode, Response, ResponseBody};
 use camo_litho::{ContextCache, LithoConfig, LithoSimulator};
 use camo_runtime::{BoundedQueue, ServicePool};
-use std::collections::VecDeque;
+use std::any::Any;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -62,22 +70,18 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Address to bind (port 0 picks an ephemeral port).
     pub addr: SocketAddr,
-    /// Worker threads each batch execution fans out over.
+    /// Long-lived worker threads running requests as tasks. `0` is a
+    /// test/bench hook: no worker drains the queue, so saturation can be
+    /// observed deterministically (the `serve` binary refuses it).
     pub threads: usize,
     /// Request-queue depth; a full queue answers `busy` (backpressure).
     pub queue_depth: usize,
     /// Maximum simultaneously open connections.
     pub max_connections: usize,
-    /// Dispatcher threads draining the queue. `0` is a test/bench hook: the
-    /// queue is never drained, so saturation behaviour can be observed
-    /// deterministically.
-    pub dispatchers: usize,
     /// Retry hint carried by `busy` rejections, milliseconds.
     pub retry_after_ms: u64,
     /// Distinct lithography configurations cached (LRU beyond this).
     pub context_capacity: usize,
-    /// Most requests one dispatcher drains into a single coalesced batch.
-    pub coalesce_limit: usize,
     /// Trace every Nth admitted request (`0` disables tracing entirely —
     /// the litho pipeline gets a no-op sink and admission skips even the
     /// sampling counter's modulo).
@@ -91,26 +95,22 @@ impl Default for ServerConfig {
             threads: 1,
             queue_depth: 64,
             max_connections: 32,
-            dispatchers: 1,
             retry_after_ms: 50,
             context_capacity: 4,
-            coalesce_limit: 16,
             trace_sample: 0,
         }
     }
 }
 
 impl ServerConfig {
-    /// Rejects configurations that cannot serve (zero capacities). A zero
-    /// `dispatchers` count is deliberately allowed — it is the documented
+    /// Rejects configurations that cannot serve (zero capacities). Zero
+    /// `threads` is deliberately allowed — it is the documented
     /// saturation-test hook.
     pub fn validate(&self) -> Result<(), ServeError> {
         for (name, value) in [
-            ("threads", self.threads),
             ("queue_depth", self.queue_depth),
             ("max_connections", self.max_connections),
             ("context_capacity", self.context_capacity),
-            ("coalesce_limit", self.coalesce_limit),
         ] {
             if value == 0 {
                 return Err(ServeError::Config(format!("{name} must be positive")));
@@ -134,12 +134,13 @@ pub struct ServerStats {
 
 struct Shared {
     config: ServerConfig,
-    queue: BoundedQueue<AdmittedRequest>,
+    queue: BoundedQueue<Work>,
     contexts: ContextCache,
     front: FrontState,
     served: AtomicUsize,
+    /// Requests planned but not yet answered.
     in_flight: AtomicUsize,
-    /// Most requests ever simultaneously inside batch execution.
+    /// Most requests ever simultaneously planned but not yet answered.
     in_flight_high_water: AtomicUsize,
     latency: KindLatencies,
     tracer: Arc<Tracer>,
@@ -164,11 +165,13 @@ impl Shared {
 }
 
 impl FrontHandler for Shared {
+    type Queued = Work;
+
     fn front(&self) -> &FrontState {
         &self.front
     }
 
-    fn queue(&self) -> &BoundedQueue<AdmittedRequest> {
+    fn queue(&self) -> &BoundedQueue<Work> {
         &self.queue
     }
 
@@ -209,7 +212,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    dispatchers: Option<ServicePool>,
+    workers: Option<ServicePool>,
 }
 
 /// Binds and starts a server; returns once the listener is live. Fails
@@ -243,24 +246,24 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         config,
     });
 
-    let dispatchers = match shared.config.dispatchers {
+    let workers = match shared.config.threads {
         0 => None,
         n => {
             let pool = ServicePool::new(n, n).map_err(|e| ServeError::Spawn {
-                what: "dispatcher pool",
+                what: "worker pool",
                 source: e.source,
             })?;
             for _ in 0..n {
                 let worker = Arc::clone(&shared);
-                if pool.submit(move || dispatcher_loop(&worker)).is_err() {
+                if pool.submit(move || worker_loop(&worker)).is_err() {
                     // Unreachable for a fresh pool (submit fails only
                     // after close), but degrade typed: release the
                     // workers before reporting.
                     shared.queue.close();
                     pool.shutdown();
                     return Err(ServeError::Spawn {
-                        what: "dispatcher",
-                        source: io::Error::other("fresh dispatcher pool rejected a job"),
+                        what: "worker",
+                        source: io::Error::other("fresh worker pool rejected a job"),
                     });
                 }
             }
@@ -277,10 +280,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
     let acceptor = match acceptor {
         Ok(handle) => handle,
         Err(source) => {
-            // Unwind what already started: close the queue so dispatcher
+            // Unwind what already started: close the queue so the worker
             // jobs exit, then join them by dropping the pool.
             shared.request_shutdown();
-            drop(dispatchers);
+            drop(workers);
             return Err(ServeError::Spawn {
                 what: "acceptor",
                 source,
@@ -292,7 +295,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         addr,
         shared,
         acceptor: Some(acceptor),
-        dispatchers,
+        workers,
     })
 }
 
@@ -317,32 +320,34 @@ impl ServerHandle {
         self.shared.front.wait_for_shutdown();
     }
 
-    /// Gracefully shuts down: stop accepting, let the dispatchers drain
-    /// every queued request, flush and close all connections, join all
-    /// threads, and propagate the first dispatcher panic (if any).
+    /// Gracefully shuts down: stop accepting, let the workers drain every
+    /// admitted request and its tasks, flush and close all connections,
+    /// join all threads, and propagate the first worker panic (if any).
     pub fn shutdown(mut self) -> ServerStats {
         self.shared.request_shutdown();
-        if let Some(pool) = self.dispatchers.take() {
-            // Waits for the dispatcher jobs to drain the (closed) request
-            // queue, then joins and propagates parked panics. If that
-            // propagates, Drop still runs `finish` during unwinding.
+        if let Some(pool) = self.workers.take() {
+            // Waits for the worker jobs to drain the (closed) queue, then
+            // joins and propagates parked panics. If that propagates, Drop
+            // still runs `finish` during unwinding.
             pool.shutdown();
         }
         self.finish()
     }
 
-    /// Answers whatever is still queued (only possible when no dispatcher
-    /// ran — the saturation-test mode) and joins the acceptor, which in
-    /// turn joins every connection thread.
+    /// Answers whatever is still queued (only possible when no worker ran
+    /// — the saturation-test mode, whose queue holds requests only) and
+    /// joins the acceptor, which in turn joins every connection thread.
     fn finish(&mut self) -> ServerStats {
-        while let Some(q) = self.shared.queue.try_pop() {
-            let _ = q.reply.send(Outbound::traced(
-                Response {
-                    id: q.request.id,
-                    body: ResponseBody::ShuttingDown,
-                },
-                q.request.trace,
-            ));
+        while let Some(work) = self.shared.queue.try_pop() {
+            if let Work::Request(q) = work {
+                let _ = q.reply.send(Outbound::traced(
+                    Response {
+                        id: q.request.id,
+                        body: ResponseBody::ShuttingDown,
+                    },
+                    q.request.trace,
+                ));
+            }
         }
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
@@ -354,7 +359,7 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.request_shutdown();
-        if let Some(pool) = self.dispatchers.take() {
+        if let Some(pool) = self.workers.take() {
             // Drain and join without panic propagation (ServicePool::drop);
             // the explicit shutdown() path is the observable one.
             drop(pool);
@@ -364,216 +369,247 @@ impl Drop for ServerHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher
+// Executor
 // ---------------------------------------------------------------------------
 
-fn dispatcher_loop(shared: &Shared) {
-    while let Some(first) = shared.queue.pop() {
-        // Opportunistically drain whatever is queued right now, up to the
-        // coalesce limit; execution below groups compatible requests.
-        let mut pending: VecDeque<AdmittedRequest> = VecDeque::new();
-        pending.push_back(first);
-        while pending.len() < shared.config.coalesce_limit {
-            match shared.queue.try_pop() {
-                Some(q) => pending.push_back(q),
-                None => break,
-            }
-        }
-        // Queue-wait spans for the traced requests just dequeued; one clock
-        // read for the whole drain, none when nothing is traced.
-        if pending.iter().any(|q| q.request.trace.is_some()) {
-            let dequeued = Instant::now();
-            for q in &pending {
-                if let Some(id) = q.request.trace {
-                    shared
-                        .tracer
-                        .record(id, Stage::ShardQueue, q.admitted_at, dequeued);
-                }
-            }
-        }
-        while let Some(head) = pending.pop_front() {
-            let traced_group =
-                head.request.trace.is_some() || pending.iter().any(|q| q.request.trace.is_some());
-            let group_start = traced_group.then(Instant::now);
-            let key = coalesce_key(&head.request.body);
-            let mut batch = vec![head];
-            if let Some(key) = &key {
-                let mut i = 0;
-                while i < pending.len() {
-                    if coalesce_key(&pending[i].request.body).as_ref() == Some(key) {
-                        // `remove` can only return None for an
-                        // out-of-range index, which the loop bound
-                        // excludes; skipping is the graceful fallback.
-                        if let Some(compatible) = pending.remove(i) {
-                            batch.push(compatible);
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            if let Some(start) = group_start {
-                let grouped = Instant::now();
-                for q in &batch {
-                    if let Some(id) = q.request.trace {
-                        shared.tracer.record(id, Stage::Coalesce, start, grouped);
-                    }
-                }
-            }
-            execute_batch(shared, batch);
-        }
+/// One item on the server's queue.
+pub(crate) enum Work {
+    /// An admitted request, not yet planned (bounded: counts against
+    /// `queue_depth` and in the `queue_depth`/`queue_high_water` metrics).
+    Request(Box<AdmittedRequest>),
+    /// Task `index` of a planned request (prepended, outside the bound).
+    Task(Arc<Job>, usize),
+}
+
+impl From<AdmittedRequest> for Work {
+    fn from(admitted: AdmittedRequest) -> Self {
+        Self::Request(Box::new(admitted))
     }
 }
 
-/// Executes one homogeneous batch and streams its responses. A panic inside
-/// execution is converted into per-request `internal` errors so one
-/// poisoned request cannot take the dispatcher down.
-fn execute_batch(shared: &Shared, batch: Vec<AdmittedRequest>) {
-    let entered = shared.in_flight.fetch_add(batch.len(), Ordering::Relaxed) + batch.len(); // relaxed-ok: gauge read only by metrics reporting
+/// A planned request and the outputs its tasks have left so far.
+pub(crate) struct Job {
+    admitted: AdmittedRequest,
+    plan: Plan,
+    progress: Mutex<Progress>, // lock-order: 70
+}
+
+struct Progress {
+    /// One slot per task, filled as tasks finish (`Err`: it panicked).
+    slots: Vec<Option<Result<Output, String>>>,
+    /// Tasks not yet finished.
+    remaining: usize,
+}
+
+impl Progress {
+    fn new(tasks: usize) -> Self {
+        Self {
+            slots: (0..tasks).map(|_| None).collect(),
+            remaining: tasks,
+        }
+    }
+
+    /// Stores task `index`'s result. Once the last task is in, returns
+    /// every output in task order — or the first failure in task order.
+    fn record(
+        &mut self,
+        index: usize,
+        result: Result<Output, String>,
+    ) -> Option<Result<Vec<Output>, String>> {
+        self.slots[index] = Some(result);
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            return None;
+        }
+        Some(
+            std::mem::take(&mut self.slots)
+                .into_iter()
+                .flatten()
+                .collect(),
+        )
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    let mut engines = EngineMemo::default();
+    while let Some(work) = shared.queue.pop() {
+        let (job, index) = match work {
+            Work::Request(admitted) => match plan(shared, *admitted) {
+                Some(job) => (job, 0),
+                None => continue,
+            },
+            Work::Task(job, index) => (job, index),
+        };
+        run_task(shared, &job, index, &mut engines);
+    }
+}
+
+/// Plans a popped request and prepends every task but the first, which
+/// the caller runs. `None` when planning failed (or found nothing to run)
+/// and the request is already answered with the error.
+fn plan(shared: &Shared, admitted: AdmittedRequest) -> Option<Arc<Job>> {
+    let trace = admitted.request.trace;
+    let popped = trace.map(|id| {
+        let now = Instant::now();
+        shared
+            .tracer
+            .record(id, Stage::ShardQueue, admitted.admitted_at, now);
+        now
+    });
+    let entered = shared.in_flight.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: gauge read only by metrics reporting
     shared
         .in_flight_high_water
         .fetch_max(entered, Ordering::Relaxed); // relaxed-ok: stats gauge; reads are reporting-only
-                                                // While the batch runs, litho stage boundaries attribute to this trace
-                                                // id (observational best-effort under concurrent dispatchers).
-    let active = batch.iter().find_map(|q| q.request.trace);
-    if let Some(id) = active {
+    let planned = catch_unwind(AssertUnwindSafe(|| {
+        let body = &admitted.request.body;
+        let spec = litho_spec(body)?;
+        let plan = Plan::new(body, shared.fetch_sim(&spec.to_config(), trace));
+        Some((plan.tasks(body), plan))
+    }))
+    .map_err(panic_message)
+    .and_then(|plan| match plan {
+        Some((0, _)) => Err("the request has nothing to run".to_string()),
+        Some(plan) => Ok(plan),
+        None => Err("control requests are answered inline".to_string()),
+    });
+    if let (Some(id), Some(start)) = (trace, popped) {
+        shared.tracer.record_since(id, Stage::Coalesce, start);
+    }
+    let (tasks, plan) = match planned {
+        Ok(planned) => planned,
+        Err(message) => {
+            answer(shared, &admitted, Err(message));
+            return None;
+        }
+    };
+    let job = Arc::new(Job {
+        admitted,
+        plan,
+        progress: Mutex::new(Progress::new(tasks)),
+    });
+    shared
+        .queue
+        .prepend((1..tasks).map(|index| Work::Task(Arc::clone(&job), index)));
+    Some(job)
+}
+
+/// Runs task `index` of `job` with litho spans attributed to its trace;
+/// the worker that finishes the last task answers the request.
+fn run_task(shared: &Shared, job: &Job, index: usize, engines: &mut EngineMemo) {
+    let body = &job.admitted.request.body;
+    let trace = job.admitted.request.trace;
+    if let Some(id) = trace {
         shared.tracer.set_active(id);
     }
-    let responses = catch_unwind(AssertUnwindSafe(|| run_batch(shared, &batch)));
-    if active.is_some() {
+    let output = catch_unwind(AssertUnwindSafe(|| job.plan.run(body, index, engines)));
+    if trace.is_some() {
         shared.tracer.clear_active();
     }
-    shared.in_flight.fetch_sub(batch.len(), Ordering::Relaxed); // relaxed-ok: gauge read only by metrics reporting
-    match responses {
-        Ok(per_request) => {
-            for (q, responses) in batch.iter().zip(per_request) {
-                // Count and sample before the reply is handed to the writer:
-                // a client that has received its response must observe a
-                // `metrics` report that already includes it.
-                shared.served.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
-                shared
-                    .latency
-                    .record(q.request.body.kind(), q.admitted_at.elapsed());
-                for response in responses {
-                    let _ = q.reply.send(Outbound::traced(response, q.request.trace));
-                }
-            }
+    let done = job
+        .progress
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .record(index, output.map_err(panic_message));
+    let Some(outputs) = done else {
+        return;
+    };
+    let frames = outputs.and_then(|outputs| {
+        catch_unwind(AssertUnwindSafe(|| job.plan.finish(outputs))).map_err(panic_message)
+    });
+    answer(shared, &job.admitted, frames);
+}
+
+/// Sends a request's response frames — or, when it failed, one typed
+/// `internal` error — after counting it out of `in_flight` and, on
+/// success, into `served` and the latency histograms: a client that has
+/// its response must observe a `metrics` report that already includes it.
+fn answer(shared: &Shared, admitted: &AdmittedRequest, frames: Result<Vec<ResponseBody>, String>) {
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed); // relaxed-ok: gauge read only by metrics reporting
+    let frames = match frames {
+        Ok(frames) => {
+            shared.served.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
+            shared
+                .latency
+                .record(admitted.request.body.kind(), admitted.admitted_at.elapsed());
+            frames
         }
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "request execution panicked".to_string());
-            for q in &batch {
-                let _ = q.reply.send(Outbound::traced(
-                    Response {
-                        id: q.request.id,
-                        body: ResponseBody::Error {
-                            code: ErrorCode::Internal,
-                            message: message.clone(),
-                        },
-                    },
-                    q.request.trace,
-                ));
-            }
-        }
+        Err(message) => vec![ResponseBody::Error {
+            code: ErrorCode::Internal,
+            message,
+        }],
+    };
+    for body in frames {
+        let response = Response {
+            id: admitted.request.id,
+            body,
+        };
+        let _ = admitted
+            .reply
+            .send(Outbound::traced(response, admitted.request.trace));
     }
 }
 
-/// Runs one batch; `batch` is non-empty and homogeneous in coalesce key
-/// (sweep/layout batches always have exactly one request).
-fn run_batch(shared: &Shared, batch: &[AdmittedRequest]) -> Vec<Vec<Response>> {
-    let threads = shared.config.threads;
-    let trace = batch.iter().find_map(|q| q.request.trace);
-    match &batch[0].request.body {
-        RequestBody::Optimize { job, .. } => {
-            let clips: Vec<_> = batch
-                .iter()
-                .map(|q| match &q.request.body {
-                    RequestBody::Optimize { clip, .. } => clip.clone(),
-                    _ => unreachable!("coalesced batch is homogeneous"),
-                })
-                .collect();
-            let sim = shared.fetch_sim(&job.litho.to_config(), trace);
-            let outcomes = run_optimize(job, &clips, &sim, threads);
-            batch
-                .iter()
-                .zip(&outcomes)
-                .map(|(q, outcome)| {
-                    vec![Response {
-                        id: q.request.id,
-                        body: ResponseBody::Outcome(wire_outcome(outcome)),
-                    }]
-                })
-                .collect()
-        }
-        RequestBody::Evaluate { litho, .. } => {
-            let probes: Vec<_> = batch
-                .iter()
-                .map(|q| match &q.request.body {
-                    RequestBody::Evaluate {
-                        layer, bias, clip, ..
-                    } => (*layer, *bias, clip.clone()),
-                    _ => unreachable!("coalesced batch is homogeneous"),
-                })
-                .collect();
-            let sim = shared.fetch_sim(&litho.to_config(), trace);
-            let results = run_evaluate(&probes, &sim, threads);
-            batch
-                .iter()
-                .zip(&results)
-                .map(|(q, result)| {
-                    vec![Response {
-                        id: q.request.id,
-                        body: wire_evaluation(result),
-                    }]
-                })
-                .collect()
-        }
-        RequestBody::Sweep { job, cases } => {
-            let sim = shared.fetch_sim(&job.litho.to_config(), trace);
-            let outcomes = run_sweep(job, cases, &sim, threads);
-            let id = batch[0].request.id;
-            let total = outcomes.len();
-            vec![outcomes
-                .iter()
-                .enumerate()
-                .map(|(index, (name, outcome))| Response {
-                    id,
-                    body: ResponseBody::CaseOutcome {
-                        index,
-                        total,
-                        name: name.clone(),
-                        outcome: wire_outcome(outcome),
-                    },
-                })
-                .collect()]
-        }
-        RequestBody::Layout {
-            litho,
-            params,
-            seed,
-            tile_nm,
-        } => {
-            let sim = shared.fetch_sim(&litho.to_config(), trace);
-            let report = run_layout(params, *seed, *tile_nm, &sim, threads);
-            vec![vec![Response {
-                id: batch[0].request.id,
-                body: ResponseBody::LayoutReport {
-                    tiles: report.tiles,
-                    epe_per_point: report.epe.per_point.clone(),
-                    pv_band: report.pv_band,
-                },
-            }]]
-        }
-        RequestBody::Ping
-        | RequestBody::Metrics
-        | RequestBody::Trace
-        | RequestBody::Restart { .. }
-        | RequestBody::Shutdown
-        | RequestBody::Hello { .. } => {
-            unreachable!("answered inline by the reader")
+/// The message a caught panic carried.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "request execution panicked".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frame(body: ResponseBody) -> Result<Output, String> {
+        Ok(Output::Frame(body))
+    }
+
+    fn bodies(outputs: Vec<Output>) -> Vec<ResponseBody> {
+        outputs
+            .into_iter()
+            .map(|output| match output {
+                Output::Frame(body) => body,
+                Output::Tile(_) => panic!("no tiles recorded"),
+            })
+            .collect()
+    }
+
+    /// Outputs leave in task order whatever order the tasks finish in, and
+    /// only with the last one.
+    #[test]
+    fn progress_hands_over_outputs_in_task_order_with_the_last_task() {
+        let mut progress = Progress::new(3);
+        assert!(progress.record(2, frame(ResponseBody::Pong)).is_none());
+        assert!(progress
+            .record(0, frame(ResponseBody::ShuttingDown))
+            .is_none());
+        let done = progress.record(1, frame(ResponseBody::Pong));
+        let Some(Ok(outputs)) = done else {
+            panic!("three of three tasks are in");
+        };
+        assert_eq!(
+            bodies(outputs),
+            [
+                ResponseBody::ShuttingDown,
+                ResponseBody::Pong,
+                ResponseBody::Pong
+            ]
+        );
+    }
+
+    /// A failed task fails the whole request once every task is in: one
+    /// error (the first in task order), and none of the other outputs.
+    #[test]
+    fn a_failed_task_fails_the_request_with_one_error() {
+        let mut progress = Progress::new(3);
+        assert!(progress.record(2, Err("late".into())).is_none());
+        assert!(progress.record(0, frame(ResponseBody::Pong)).is_none());
+        match progress.record(1, Err("early".into())) {
+            Some(Err(message)) => assert_eq!(message, "early"),
+            Some(Ok(_)) => panic!("a failed request handed over outputs"),
+            None => panic!("three of three tasks are in"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! processes.
 //!
 //! The shard tier multiplies the single-process server: `N` independent
-//! `serve` processes — each with its own port, request queue, dispatcher
+//! `serve` processes — each with its own port, request queue, worker
 //! pool and [`camo_litho::ContextCache`] — sit behind one
 //! [`router`](crate::router) front. This module owns the *process* half of
 //! that story:

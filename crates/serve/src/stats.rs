@@ -265,11 +265,13 @@ pub struct MetricsReport {
     /// bit-identical across backends; the field is observability, not a
     /// result qualifier.
     pub simd_arch: String,
-    /// Current request-queue depth.
+    /// Current request-queue depth (a server's follow-on tasks are not
+    /// counted).
     pub queue_depth: usize,
     /// Deepest the request queue has ever been (exact; never resets).
     pub queue_high_water: usize,
-    /// Requests admitted but not yet answered.
+    /// Requests taken off the queue but not yet answered (planned by a
+    /// server's worker, or forwarded by a router).
     pub in_flight: usize,
     /// Most requests ever simultaneously in flight (exact; never resets).
     pub in_flight_high_water: usize,

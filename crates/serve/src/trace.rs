@@ -22,7 +22,7 @@
 //! sampled-out requests; `perf_snapshot` prints an overhead row proving it.
 
 use crate::stats::{KindLatency, StageLatencies};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,9 +42,9 @@ pub enum Stage {
     QueueWait,
     /// Router forwarder: encode + write of the frame to the shard.
     Forward,
-    /// Serving process queue: admission to dispatcher pickup.
+    /// Serving process queue: admission to the worker that pops it.
     ShardQueue,
-    /// Dispatcher drain + compatibility grouping for the batch.
+    /// Planning the popped request into its tasks (context fetch included).
     Coalesce,
     /// `ContextCache` lookup (context build on a miss).
     ContextFetch,
@@ -327,12 +327,6 @@ pub struct Tracer {
     sample: u64,
     admitted: AtomicU64,
     next_trace: AtomicU64,
-    /// Trace id of the batch currently executing (0 = none): the bridge
-    /// that attributes litho stage spans — emitted deep inside the
-    /// clock-free pipeline — to the request that triggered them. With
-    /// several dispatchers the last-started traced batch wins; tracing is
-    /// observational and never affects results.
-    active: AtomicU64,
     recorder: FlightRecorder,
     stages: StageLatencies,
 }
@@ -350,7 +344,6 @@ impl Tracer {
             sample,
             admitted: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
-            active: AtomicU64::new(0),
             recorder: FlightRecorder::new(capacity),
             stages: StageLatencies::new(),
         }
@@ -391,22 +384,20 @@ impl Tracer {
         self.record(trace_id, stage, start, Instant::now());
     }
 
-    /// Marks `trace_id` as the trace litho stage spans attribute to.
+    /// Marks `trace_id` as the trace that litho stage spans emitted on the
+    /// calling thread attribute to, until [`Self::clear_active`].
     pub fn set_active(&self, trace_id: u64) {
-        // relaxed-ok: attribution register; a racy read misattributes one
-        // observational span at worst.
-        self.active.store(trace_id, Ordering::Relaxed);
+        ACTIVE.set(trace_id);
     }
 
-    /// Clears the active trace (batch finished).
+    /// Clears the calling thread's active trace (its task finished).
     pub fn clear_active(&self) {
         self.set_active(0);
     }
 
-    /// The currently active trace id (0 = none).
+    /// The calling thread's active trace id (0 = none).
     pub fn active(&self) -> u64 {
-        // relaxed-ok: attribution register, see `set_active`.
-        self.active.load(Ordering::Relaxed)
+        ACTIVE.get()
     }
 
     /// The underlying recorder (epoch access, tests).
@@ -433,6 +424,12 @@ impl Tracer {
 }
 
 thread_local! {
+    /// Trace id of the task this thread is running (0 = none): the bridge
+    /// that attributes litho stage spans — emitted deep inside the
+    /// clock-free pipeline — to the request that triggered them. Per
+    /// thread, because the server's workers run different requests' tasks
+    /// at once.
+    static ACTIVE: Cell<u64> = const { Cell::new(0) };
     /// Per-thread stack pairing litho `stage_start`/`stage_end` callbacks.
     /// Guards in the pipeline guarantee LIFO bracketing per thread.
     static STAGE_STACK: RefCell<Vec<(usize, u64, Instant)>> = const { RefCell::new(Vec::new()) };
@@ -440,7 +437,7 @@ thread_local! {
 
 /// The serving side of the litho tracing seam: receives clock-free stage
 /// boundaries from the pipeline, stamps them with real timestamps, and
-/// records them under the tracer's active trace id. Installed on every
+/// records them under the calling thread's active trace id. Installed on every
 /// simulator built by the server's `ContextCache` when tracing is enabled.
 #[derive(Debug)]
 pub struct RecorderSink {
@@ -684,6 +681,44 @@ mod tests {
         let latency = tracer.stage_latency();
         assert!(latency.iter().any(|k| k.kind == "convolve"));
         assert!(latency.iter().any(|k| k.kind == "epe"));
+
+        // The active id belongs to the thread: two threads running
+        // different traces at once each record only their own spans,
+        // interleaved stage by stage through one rendezvous.
+        let tracer = Arc::new(Tracer::with_capacity(1, 64));
+        let sink = RecorderSink::new(Arc::clone(&tracer));
+        let rendezvous = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for id in [7_u64, 9] {
+                let (tracer, sink, rendezvous) = (&tracer, &sink, &rendezvous);
+                s.spawn(move || {
+                    tracer.set_active(id);
+                    rendezvous.wait();
+                    for stage in [
+                        camo_litho::trace::Stage::Rasterize,
+                        camo_litho::trace::Stage::Resist,
+                    ] {
+                        sink.stage_start(stage);
+                        rendezvous.wait();
+                        sink.stage_end(stage);
+                        rendezvous.wait();
+                    }
+                    tracer.clear_active();
+                });
+            }
+        });
+        assert_eq!(tracer.active(), 0, "other threads' ids never leak here");
+        let spans = tracer.recorder().snapshot().spans;
+        for id in [7_u64, 9] {
+            let mut stages: Vec<&str> = spans
+                .iter()
+                .filter(|s| s.trace_id == id)
+                .map(|s| s.stage.as_str())
+                .collect();
+            stages.sort_unstable();
+            assert_eq!(stages, ["rasterize", "resist"], "trace {id}: {spans:?}");
+        }
+        assert_eq!(spans.len(), 4, "{spans:?}");
     }
 
     #[test]

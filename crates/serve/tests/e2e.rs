@@ -58,8 +58,10 @@ fn assert_outcome_matches(wire: &WireOutcome, offline: &camo_baselines::OpcOutco
 }
 
 /// The acceptance-criteria test: optimize / evaluate / sweep / layout
-/// requests served over TCP (with coalescing in play) match direct
-/// `camo-runtime` calls bit for bit, at 1 and 2 worker threads.
+/// requests served over TCP match direct `camo-runtime` calls bit for bit,
+/// at 1 and 2 worker threads. The sweep has more cases and the layout more
+/// tiles than there are workers, so at 2 threads their tasks spread over
+/// both workers and the last one to finish answers.
 #[test]
 fn served_results_are_bit_identical_to_offline_runs() {
     for threads in [1usize, 2] {
@@ -74,13 +76,21 @@ fn served_results_are_bit_identical_to_offline_runs() {
         let clips: Vec<Clip> = (0..3).map(test_clip).collect();
         let sweep_cases: Vec<(String, Clip)> = via_test_set()
             .iter()
-            .take(2)
+            .take(threads + 2)
             .map(|c| (c.clip.name().to_string(), c.clip.clone()))
             .collect();
         let layout_params = LayoutParams::smoke();
+        let sim = LithoSimulator::new(job.litho.to_config());
+        let offline_layout = run_layout(&layout_params, 4242, 1500, &sim, 1);
+        assert!(
+            offline_layout.tiles > threads,
+            "the layout must have more tiles ({}) than workers",
+            offline_layout.tiles
+        );
 
-        // Send everything before reading anything, so the dispatcher sees a
-        // backlog it can coalesce into one batch.
+        // Send everything before reading anything, so the workers see a
+        // backlog: requests queue behind each other while sweep cases and
+        // layout tiles are taken by whichever worker is idle.
         let mut ids = Vec::new();
         for clip in &clips {
             ids.push(
@@ -120,7 +130,6 @@ fn served_results_are_bit_identical_to_offline_runs() {
         let mut results = collect_responses(&mut client, &all_ids).expect("responses");
 
         // Offline truth, built from the same specs on a fresh simulator.
-        let sim = LithoSimulator::new(job.litho.to_config());
         let offline_opt = run_optimize(&job, &clips, &sim, 1);
         for (i, id) in ids.iter().enumerate() {
             match results.remove(id).expect("optimize result") {
@@ -166,7 +175,6 @@ fn served_results_are_bit_identical_to_offline_runs() {
             other => panic!("unexpected sweep completion: {other:?}"),
         }
 
-        let offline_layout = run_layout(&layout_params, 4242, 1500, &sim, 1);
         match results.remove(&layout_id).expect("layout result") {
             Completed::Single(ResponseBody::LayoutReport {
                 tiles,
@@ -221,11 +229,11 @@ fn camo_engine_serves_bit_identically() {
 /// hint — it neither blocks the reader nor drops the request silently.
 #[test]
 fn saturated_queue_returns_typed_backpressure() {
-    // No dispatcher: the queue can only fill, so saturation is
+    // No worker: the queue can only fill, so saturation is
     // deterministic.
     let handle = serve(ServerConfig {
         queue_depth: 2,
-        dispatchers: 0,
+        threads: 0,
         retry_after_ms: 123,
         ..ServerConfig::default()
     })
@@ -457,13 +465,20 @@ fn client_shutdown_request_drains_and_closes() {
 
 /// The `metrics` request reports a plain server's own state: role,
 /// completed/latency evidence for work it served, no shard rows — and is
-/// answered inline even though it never touches the request queue.
+/// answered inline even though it never touches the request queue. A sweep
+/// with more cases than workers runs as several tasks, yet counts as one
+/// request everywhere: in `completed`, `in_flight` and the queue gauges.
 #[test]
 fn metrics_request_reports_server_state() {
-    let handle = serve(ServerConfig::default()).expect("bind");
+    let threads = 2;
+    let handle = serve(ServerConfig {
+        threads,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let job = job(1);
-    let ids: Vec<u64> = (0..3)
+    let mut ids: Vec<u64> = (0..3)
         .map(|i| {
             client
                 .send(RequestBody::Optimize {
@@ -473,7 +488,21 @@ fn metrics_request_reports_server_state() {
                 .unwrap()
         })
         .collect();
-    let results = collect_responses(&mut client, &ids).expect("responses");
+    let cases: Vec<(String, Clip)> = (0..threads as i64 + 3)
+        .map(|i| (format!("case{i}"), test_clip(i)))
+        .collect();
+    let sweep_id = client
+        .send(RequestBody::Sweep {
+            job: job.clone(),
+            cases: cases.clone(),
+        })
+        .unwrap();
+    ids.push(sweep_id);
+    let mut results = collect_responses(&mut client, &ids).expect("responses");
+    match results.remove(&sweep_id) {
+        Some(Completed::Sweep(frames)) => assert_eq!(frames.len(), cases.len()),
+        other => panic!("unexpected sweep completion: {other:?}"),
+    }
     assert!(results
         .values()
         .all(|c| matches!(c, Completed::Single(ResponseBody::Outcome(_)))));
@@ -489,8 +518,17 @@ fn metrics_request_reports_server_state() {
         }
     };
     assert_eq!(report.role, "server");
-    assert!(report.completed >= 3, "{report:?}");
+    assert_eq!(
+        report.completed,
+        ids.len(),
+        "requests, not tasks: {report:?}"
+    );
     assert_eq!(report.in_flight, 0, "{report:?}");
+    assert!(
+        (1..=ids.len()).contains(&report.in_flight_high_water),
+        "{report:?}"
+    );
+    assert!(report.queue_high_water <= ids.len(), "{report:?}");
     assert!(report.shards.is_empty(), "a server has no shard rows");
     assert_eq!(report.respawns, 0);
     let optimize = report

@@ -43,14 +43,8 @@ fn job(max_steps: usize) -> JobSpec {
 }
 
 fn spawn_shards(count: usize) -> ShardSet {
-    spawn_shards_with(count, &[])
-}
-
-/// [`spawn_shards`] with extra `serve` flags appended to every shard.
-fn spawn_shards_with(count: usize, extra: &[&str]) -> ShardSet {
     let mut spec = ShardSpec::new(env!("CARGO_BIN_EXE_serve"));
     spec.args = vec!["--threads".into(), "1".into()];
-    spec.args.extend(extra.iter().map(|arg| arg.to_string()));
     ShardSet::spawn(&spec, count).expect("spawn shard processes")
 }
 
@@ -210,12 +204,10 @@ fn killing_a_shard_mid_stream_stays_bit_identical() {
         },
         ..RouterConfig::default()
     };
-    // Without coalescing each request is its own batch, so the first
-    // response leaves the shard while the other nine still wait in its
-    // queue. A coalescing shard can instead drain the whole stream into one
-    // batch and answer all ten at once, leaving nothing in flight to kill.
-    let handle = route_spawned(config, spawn_shards_with(2, &["--coalesce-limit", "1"]))
-        .expect("start router");
+    // Each request is answered as soon as its own task finishes, so the
+    // first response leaves the shard while the other nine still wait in
+    // its queue.
+    let handle = route_spawned(config, spawn_shards(2)).expect("start router");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Everything under one configuration lands on one shard (affinity), so
@@ -512,11 +504,11 @@ fn fingerprint_affinity_lands_each_config_on_one_shard() {
 /// typed rejection — the router never converts it into blocking.
 #[test]
 fn shard_busy_propagates_to_the_client() {
-    // A dispatcher-less shard with a tiny queue: the third queued request
+    // A worker-less shard with a tiny queue: the third queued request
     // observes `busy`.
     let shard = serve(ServerConfig {
         queue_depth: 2,
-        dispatchers: 0,
+        threads: 0,
         retry_after_ms: 321,
         ..ServerConfig::default()
     })
