@@ -328,14 +328,7 @@ fn router_throughput(binary: &std::path::Path, shards: usize, requests: usize) -
         eprintln!("ROUTER BENCH: shard spawn failed: {e}");
         std::process::exit(1);
     });
-    let handle = route_spawned(
-        RouterConfig {
-            queue_depth: requests.max(8),
-            ..RouterConfig::default()
-        },
-        set,
-    )
-    .unwrap_or_else(|e| {
+    let handle = route_spawned(RouterConfig::default(), set).unwrap_or_else(|e| {
         eprintln!("ROUTER BENCH: router start failed: {e}");
         std::process::exit(1);
     });
@@ -497,7 +490,6 @@ fn respawn_overhead(binary: &std::path::Path, requests: usize) -> RespawnRow {
     });
     let handle = route_spawned(
         RouterConfig {
-            queue_depth: requests.max(8),
             probe_interval: Duration::from_millis(20),
             respawn: RespawnPolicy {
                 initial_backoff: Duration::from_millis(50),
@@ -663,7 +655,7 @@ fn trace_overhead(requests: usize) -> TraceRow {
     for expected in [
         "admit",
         "shard-queue",
-        "coalesce",
+        "plan",
         "context-fetch",
         "rasterize",
         "convolve",

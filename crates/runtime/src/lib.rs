@@ -18,10 +18,7 @@
 //! * [`queue`] — a bounded MPMC [`BoundedQueue`] whose `try_push` is the
 //!   backpressure primitive long-lived front-ends build *reject with
 //!   retry-after* on, and whose close-then-drain semantics make graceful
-//!   shutdown possible;
-//! * [`service`] — [`ServicePool`], a long-lived worker pool over that
-//!   queue with drain/join/propagate-first-panic shutdown (the scheduling
-//!   substrate of the `camo-serve` front-end).
+//!   shutdown possible (the request queue `camo-serve`'s workers pop).
 //!
 //! Every clip (or tile) in a batch shares one immutable
 //! [`camo_litho::LithoContext`] — kernel taps are derived once per
@@ -72,7 +69,6 @@ pub mod batch;
 pub mod layout;
 pub mod pool;
 pub mod queue;
-pub mod service;
 
 pub use batch::{
     imitation_epoch, optimize_batch, reinforce_epoch, reinforce_epoch_at, sweep_cases, train,
@@ -80,4 +76,3 @@ pub use batch::{
 pub use layout::{evaluate_layout, sweep_layout};
 pub use pool::{available_threads, parallel_map, scope, Scope};
 pub use queue::{BoundedQueue, PushError};
-pub use service::ServicePool;

@@ -1,14 +1,13 @@
 //! A bounded MPMC queue with non-blocking backpressure and cooperative
 //! shutdown.
 //!
-//! This is the scheduling spine shared by the service pool and the serving
-//! front-end: producers either block until space frees ([`BoundedQueue::push`])
-//! or observe fullness immediately ([`BoundedQueue::try_push`], the
-//! backpressure path — a server answers *reject with retry-after* instead of
-//! stalling its reader threads), and consumers block until work arrives or
-//! the queue is closed and drained. Closing never discards items: everything
-//! enqueued before [`BoundedQueue::close`] is still handed out, which is what
-//! makes graceful drain-then-join shutdown possible.
+//! This is the request queue of the serving front-end: producers observe
+//! fullness immediately ([`BoundedQueue::try_push`], the backpressure path —
+//! a server answers *reject with retry-after* instead of stalling its reader
+//! threads), and consumers block until work arrives or the queue is closed
+//! and drained. Closing never discards items: everything enqueued before
+//! [`BoundedQueue::close`] is still handed out, which is what makes graceful
+//! drain-then-join shutdown possible.
 //!
 //! [`BoundedQueue::prepend`] puts follow-on work of an already admitted item
 //! at the head, outside the bound: a consumer that split one item into
@@ -18,32 +17,12 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a push did not enqueue.
-#[derive(PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
     /// The queue is at capacity; the item is handed back (backpressure).
     Full(T),
     /// The queue was closed; the item is handed back.
     Closed(T),
-}
-
-/// Manual so queues of non-`Debug` items (boxed jobs) still produce useful
-/// errors.
-impl<T> std::fmt::Debug for PushError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Full(_) => f.write_str("PushError::Full(..)"),
-            Self::Closed(_) => f.write_str("PushError::Closed(..)"),
-        }
-    }
-}
-
-impl<T> PushError<T> {
-    /// The rejected item.
-    pub fn into_inner(self) -> T {
-        match self {
-            Self::Full(item) | Self::Closed(item) => item,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -79,7 +58,6 @@ pub struct BoundedQueue<T> {
     state: Mutex<State<T>>, // lock-order: 55
     capacity: usize,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl<T> BoundedQueue<T> {
@@ -99,29 +77,13 @@ impl<T> BoundedQueue<T> {
             }),
             capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of items currently queued against the capacity (items from
     /// [`Self::prepend`] are not counted).
-    pub fn len(&self) -> usize {
+    pub fn depth(&self) -> usize {
         self.lock().bounded()
-    }
-
-    /// True when [`Self::len`] is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True once [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// The deepest the queue has ever been (exact: tracked under the queue
@@ -147,32 +109,10 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Enqueues, blocking while the queue is full; fails only when the
-    /// queue is (or becomes) closed.
-    pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(PushError::Closed(item));
-            }
-            if state.bounded() < self.capacity {
-                state.items.push_back(item);
-                state.high_water = state.high_water.max(state.bounded());
-                drop(state);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Inserts `items` at the head, in iteration order, ahead of everything
     /// queued. They are outside the bound: never refused (not even after
     /// [`Self::close`]; consumers still drain them before observing
-    /// `None`), and never counted by [`Self::len`] or
+    /// `None`), and never counted by [`Self::depth`] or
     /// [`Self::high_water`].
     pub fn prepend<I>(&self, items: I)
     where
@@ -201,8 +141,6 @@ impl<T> BoundedQueue<T> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
                 return Some(item);
             }
             if state.closed {
@@ -218,11 +156,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeues without blocking (`None` when nothing is queued right now —
     /// callers that must distinguish emptiness from closure use [`Self::pop`]).
     pub fn try_pop(&self) -> Option<T> {
-        let item = self.lock().pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
+        self.lock().pop_front()
     }
 
     /// Closes the queue: later pushes fail, and consumers drain what is
@@ -230,7 +164,6 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// The queue state is plain data; recover from poisoning instead of
@@ -251,7 +184,7 @@ mod tests {
         assert_eq!(q.try_push(1), Ok(()));
         assert_eq!(q.try_push(2), Ok(()));
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.depth(), 2);
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_push(3), Ok(()));
     }
@@ -262,7 +195,7 @@ mod tests {
         assert_eq!(q.high_water(), 0);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        q.push(3).unwrap();
+        q.try_push(3).unwrap();
         assert_eq!(q.high_water(), 3);
         // Draining does not lower the mark...
         while q.try_pop().is_some() {}
@@ -280,7 +213,7 @@ mod tests {
         q.prepend([10, 11, 12]);
         // Outside the bound: a full queue still takes them, and neither
         // the length nor the high-water mark counts them.
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.depth(), 2);
         assert_eq!(q.high_water(), 2);
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         // Draining a prepended item frees no bounded slot...
@@ -291,7 +224,7 @@ mod tests {
         q.prepend([20]);
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, [20, 11, 12, 1, 2]);
-        assert!(q.is_empty());
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -307,18 +240,15 @@ mod tests {
     }
 
     #[test]
-    fn blocking_push_waits_for_space_and_pop_waits_for_items() {
+    fn pop_waits_for_an_item_pushed_later() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).unwrap();
         std::thread::scope(|s| {
-            let producer = {
+            let consumer = {
                 let q = Arc::clone(&q);
-                s.spawn(move || q.push(1).is_ok())
+                s.spawn(move || q.pop())
             };
-            // The consumer frees space; the blocked producer finishes.
-            assert_eq!(q.pop(), Some(0));
-            assert!(producer.join().unwrap());
-            assert_eq!(q.pop(), Some(1));
+            q.try_push(1u32).unwrap();
+            assert_eq!(consumer.join().unwrap(), Some(1));
         });
     }
 

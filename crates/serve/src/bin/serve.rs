@@ -5,7 +5,7 @@
 //! serve [--host 127.0.0.1] [--port 7878] [--threads N] [--queue-depth N]
 //!       [--max-connections N] [--retry-after-ms N] [--context-capacity N]
 //!       [--port-file PATH] [--trace-sample N]
-//!       [--shards N|auto] [--forwarders N]
+//!       [--shards N|auto]
 //!       [--probe-interval-ms N] [--probe-timeout-ms N]
 //!       [--respawn-backoff-ms N] [--respawn-backoff-max-ms N]
 //!       [--breaker-window-ms N] [--breaker-failures N]
@@ -25,8 +25,9 @@
 //!
 //! With `--shards N`, the process re-executes itself `N` times as backend
 //! shards (each a plain single-process server on its own ephemeral port,
-//! inheriting the tuning flags above) and runs a
-//! [`camo_serve::router`] on the front port instead of a server.
+//! inheriting the tuning flags above, `--queue-depth` included: the router
+//! holds no queue of its own) and runs a [`camo_serve::router`] on the
+//! front port instead of a server.
 //! `--shards auto` sizes the tier elastically from the detected cores
 //! (one shard per four available threads, at least two). A shard that dies
 //! is respawned under the `--respawn-*`/`--breaker-*` schedule; a client
@@ -58,9 +59,7 @@ fn run_router(args: &[String], addr: SocketAddr, shards: usize) {
     let respawn_defaults = RespawnPolicy::default();
     let config = RouterConfig {
         addr,
-        queue_depth: parsed_flag(args, "--queue-depth", defaults.queue_depth),
         max_connections: parsed_flag(args, "--max-connections", defaults.max_connections),
-        forwarders: parsed_flag(args, "--forwarders", defaults.forwarders),
         retry_after_ms: parsed_flag(args, "--retry-after-ms", defaults.retry_after_ms),
         probe_interval: Duration::from_millis(parsed_flag(
             args,
@@ -141,11 +140,12 @@ fn run_router(args: &[String], addr: SocketAddr, shards: usize) {
         }
     }
     handle.wait_for_shutdown_request();
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
+    let forwarded: Vec<usize> = report.shards.iter().map(|s| s.forwarded).collect();
     println!(
         "camo-serve router shut down cleanly: {} request(s) completed, {} rejected, \
          {} redispatched, per-shard {:?}",
-        stats.completed, stats.rejected, stats.redispatched, stats.forwarded_per_shard
+        report.completed, report.busy_rejected, report.redispatched, forwarded
     );
 }
 
@@ -215,9 +215,9 @@ fn main() {
         }
     }
     handle.wait_for_shutdown_request();
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
     println!(
-        "camo-serve shut down cleanly: {} request(s) served, {} rejected, {} connection(s)",
-        stats.served, stats.rejected, stats.connections
+        "camo-serve shut down cleanly: {} request(s) served, {} rejected",
+        report.completed, report.busy_rejected
     );
 }

@@ -8,10 +8,11 @@
 //! Control requests are answered by the reader thread itself — never
 //! queued — so health and observability stay responsive even when the
 //! request queue is saturated. Only what happens to an *admitted* request
-//! differs — the server queues it for its workers, the router for its
-//! forwarders — so that single decision is the [`FrontHandler`] trait and
+//! differs — the server queues it for its workers, the router writes it to
+//! a shard — so that single decision is [`FrontHandler::submit`] and
 //! everything else lives here once.
 
+use crate::stats::MetricsReport;
 use crate::trace::{Stage, Tracer};
 use crate::wire::{
     decode_request, decode_request_v2, encode_response, encode_response_v2, read_frame,
@@ -33,10 +34,11 @@ pub(crate) struct FrontState {
     /// Maximum simultaneously open client connections.
     max_connections: usize,
     /// Retry hint carried by `busy` rejections, milliseconds.
-    pub(crate) retry_after_ms: u64,
+    retry_after_ms: u64,
     pub(crate) stop: AtomicBool,
     live: AtomicUsize,
-    pub(crate) connections: AtomicUsize,
+    /// Connections accepted so far: the next connection's id.
+    connections: AtomicUsize,
     pub(crate) rejected: AtomicUsize,
     shutdown_flag: Mutex<bool>, // lock-order: 50
     shutdown_cv: Condvar,
@@ -59,6 +61,14 @@ impl FrontState {
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             streams: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Counts one `busy` rejection and returns its body.
+    pub(crate) fn busy(&self) -> ResponseBody {
+        self.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
+        ResponseBody::Busy {
+            retry_after_ms: self.retry_after_ms,
         }
     }
 
@@ -127,13 +137,13 @@ impl Outbound {
 }
 
 /// One request admitted past the connection tier: the decoded request plus
-/// the sender feeding its connection's writer thread. What the server's
-/// work queue and the router's forwarding queue are fed.
+/// the sender feeding its connection's writer thread. What
+/// [`FrontHandler::submit`] takes.
 pub(crate) struct AdmittedRequest {
     pub(crate) reply: Sender<Outbound>,
     pub(crate) request: Request,
     /// When the reader admitted the request — the start of the latency
-    /// sample its completion records (queue wait included, so histograms
+    /// sample its completion records (queueing included, so histograms
     /// show what a client actually experienced).
     pub(crate) admitted_at: Instant,
 }
@@ -141,20 +151,21 @@ pub(crate) struct AdmittedRequest {
 /// What the embedding process does with an admitted request; everything
 /// else about a connection's life is shared.
 pub(crate) trait FrontHandler: Send + Sync + 'static {
-    /// What the request queue holds: admitted requests, possibly among
-    /// other work (the server's queue also carries follow-on tasks).
-    type Queued: From<AdmittedRequest>;
     /// The embedded connection-tier state.
     fn front(&self) -> &FrontState;
-    /// The bounded queue admitted requests are pushed onto; its overflow is
-    /// the backpressure signal.
-    fn queue(&self) -> &camo_runtime::BoundedQueue<Self::Queued>;
+    /// Takes one admitted request on the reader thread that decoded it,
+    /// so one connection's requests are submitted in the order they were
+    /// sent. The server pushes it onto its bounded queue; the router
+    /// writes it to a shard. Returns the refusal to answer instead (`busy`
+    /// for a full queue, counted via [`FrontState::busy`], or
+    /// `shutting_down`).
+    fn submit(&self, admitted: AdmittedRequest) -> Option<ResponseBody>;
     /// A client asked the process to drain and exit (the acknowledgement
     /// has already been sent).
     fn on_shutdown_request(&self);
-    /// The process's current [`crate::stats::MetricsReport`], answered
-    /// inline by the reader thread (works under queue saturation).
-    fn metrics(&self) -> ResponseBody;
+    /// The process's current [`MetricsReport`], answered inline by the
+    /// reader thread (works under queue saturation).
+    fn metrics(&self) -> MetricsReport;
     /// The process's tracing plane: sampling decisions at admission, span
     /// recording at every hop.
     fn tracer(&self) -> &Arc<Tracer>;
@@ -173,14 +184,14 @@ pub(crate) trait FrontHandler: Send + Sync + 'static {
         }
     }
 
-    /// Takes one decoded request that is not a control kind: a
-    /// non-blocking push onto [`Self::queue`], where a full queue answers a
-    /// typed `busy` rejection and a closed one answers `shutting_down`.
+    /// Takes one decoded request that is not a control kind through
+    /// [`Self::submit`] and answers its refusal, if any.
     ///
     /// This is also where sampling happens: a request that did not arrive
     /// with a `trace_id` (i.e. not forwarded by an upstream router) may be
-    /// assigned one here, and sampled requests get an `admit` span. The
-    /// sampled-out path costs one atomic increment and no clock reads.
+    /// assigned one here, and sampled requests get an `admit` span, which
+    /// ends where `submit` begins. The sampled-out path costs one atomic
+    /// increment and no clock reads.
     fn admit(&self, reply: &Sender<Outbound>, mut request: Request) {
         if request.trace.is_none() {
             request.trace = self.tracer().maybe_assign();
@@ -192,21 +203,11 @@ pub(crate) trait FrontHandler: Send + Sync + 'static {
             request,
             admitted_at,
         };
-        let refusal = match self.queue().try_push(admitted.into()) {
-            Ok(()) => None,
-            Err(camo_runtime::PushError::Full(_)) => {
-                self.front().rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
-                Some(ResponseBody::Busy {
-                    retry_after_ms: self.front().retry_after_ms,
-                })
-            }
-            Err(camo_runtime::PushError::Closed(_)) => Some(ResponseBody::ShuttingDown),
-        };
-        if let Some(body) = refusal {
-            let _ = reply.send(Outbound::traced(Response { id, body }, trace));
-        }
         if let Some(id) = trace {
             self.tracer().record_since(id, Stage::Admit, admitted_at);
+        }
+        if let Some(body) = self.submit(admitted) {
+            let _ = reply.send(Outbound::traced(Response { id, body }, trace));
         }
     }
 }
@@ -223,8 +224,7 @@ pub(crate) fn acceptor_loop<H: FrontHandler>(listener: TcpListener, shared: &Arc
                 let conn_id = front.connections.fetch_add(1, Ordering::Relaxed) as u64; // relaxed-ok: connection-id counter; uniqueness needs only atomicity
                 if front.live.fetch_add(1, Ordering::SeqCst) >= front.max_connections {
                     front.live.fetch_sub(1, Ordering::SeqCst);
-                    front.rejected.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
-                    reject_connection(stream, front.retry_after_ms);
+                    reject_connection(stream, front.busy());
                     continue;
                 }
                 match spawn_connection(conn_id, stream, shared) {
@@ -247,14 +247,8 @@ pub(crate) fn acceptor_loop<H: FrontHandler>(listener: TcpListener, shared: &Arc
 
 /// Turns an over-cap connection away with a single text `busy` line in
 /// place of the `hello_ack`; dropping the stream closes it.
-fn reject_connection(stream: TcpStream, retry_after_ms: u64) {
-    let _ = write_preface_reply(
-        &stream,
-        &Response {
-            id: 0,
-            body: ResponseBody::Busy { retry_after_ms },
-        },
-    );
+fn reject_connection(stream: TcpStream, busy: ResponseBody) {
+    let _ = write_preface_reply(&stream, &Response { id: 0, body: busy });
 }
 
 /// Writes one text preface reply line (`hello_ack`, `error` or `busy`)
@@ -464,7 +458,7 @@ fn reader_loop<H: FrontHandler>(stream: TcpStream, shared: &H, tx: Sender<Outbou
             RequestBody::Metrics => {
                 let _ = tx.send(Outbound::plain(Response {
                     id,
-                    body: shared.metrics(),
+                    body: ResponseBody::Metrics(shared.metrics()),
                 }));
             }
             RequestBody::Trace => {

@@ -16,7 +16,7 @@
 //! ```text
 //!                ┌────────────────────────── serve process ─────────────────────────┐
 //!  client ──TCP──▶ acceptor ─▶ reader ──try_push──▶ BoundedQueue ──pop──▶ workers    │
-//!  (camo-client)│     │          │ full → Busy{retry_after_ms}   ▲    (ServicePool)  │
+//!  (camo-client)│     │          │ full → Busy{retry_after_ms}   ▲    (--threads)    │
 //!               │     │          ▼                               └─ prepend tasks ─┤ │
 //!               │     │        writer ◀─── responses (last task) ──────────────────┘ │
 //!               │     │     (per conn, binary frames, completion order)              │
@@ -27,14 +27,15 @@
 //! One serve process is one queue, one [`camo_litho::ContextCache`] and one
 //! failure domain. The **shard tier** ([`router`] + [`shard`], started with
 //! `serve --shards N`) multiplies all three: a router process accepts
-//! clients on one front port and forwards framed requests to `N`
-//! supervised `serve` processes, routed consistently by
-//! [`camo_litho::LithoConfig::fingerprint`] so each shard keeps a hot
-//! context, with per-shard health probes, typed `busy` propagation,
-//! redispatch-on-shard-death and a tier-wide graceful drain. The protocol
-//! through the router is byte-for-byte the single-process protocol, and the
-//! results stay bit-identical. See `docs/ARCHITECTURE.md` for the full
-//! picture and `docs/WIRE_PROTOCOL.md` for the wire specification.
+//! clients on one front port and, on each connection's reader, forwards
+//! framed requests to `N` supervised `serve` processes, routed
+//! consistently by [`camo_litho::LithoConfig::fingerprint`] so each shard
+//! keeps a hot context, with per-shard health probes, typed `busy`
+//! propagation, redispatch-on-shard-death and a tier-wide graceful drain.
+//! The protocol through the router is byte-for-byte the single-process
+//! protocol, and the results stay bit-identical. See
+//! `docs/ARCHITECTURE.md` for the full picture and `docs/WIRE_PROTOCOL.md`
+//! for the wire specification.
 //!
 //! * [`wire`] — one codec: every connection opens with a one-line text
 //!   `hello` answered by a text `hello_ack`, and everything after it is
@@ -47,9 +48,9 @@
 //!   bounded request queue whose `try_push` failure becomes a typed
 //!   [`wire::ResponseBody::Busy`] rejection (backpressure, never blocking,
 //!   never silent drops), and a work-conserving executor: `threads`
-//!   long-lived workers on one [`camo_runtime::ServicePool`] pop the queue,
-//!   plan each request into one task per clip, sweep case or layout tile,
-//!   and prepend the follow-on tasks for idle siblings to take.
+//!   long-lived worker threads pop the queue, plan each request into one
+//!   task per clip, sweep case or layout tile, and prepend the follow-on
+//!   tasks for idle siblings to take.
 //! * [`exec`] — the spec → engine/simulator materialisation and the task
 //!   bodies shared by the server and the offline verifier: each task is
 //!   the per-item body of a batch-runtime call, which is what reduces
@@ -115,8 +116,8 @@ pub use client::{
     BUSY_BACKOFF_CAP_MS,
 };
 pub use error::ServeError;
-pub use router::{route, route_spawned, shard_preference, RouterConfig, RouterHandle, RouterStats};
-pub use server::{serve, ServerConfig, ServerHandle, ServerStats};
+pub use router::{route, route_spawned, shard_preference, RouterConfig, RouterHandle};
+pub use server::{serve, ServerConfig, ServerHandle};
 pub use shard::{ShardSet, ShardSpec};
 pub use stats::{KindLatency, LatencySnapshot, MetricsReport, ShardStatus};
 pub use supervise::{Backoff, FlapBreaker, RespawnPolicy};

@@ -12,11 +12,11 @@
 //!
 //! ```text
 //!                 ┌──────────────────────── router process ───────────────────────┐
-//!  client ──TCP──▶ acceptor ─▶ reader ──try_push──▶ BoundedQueue ──pop──▶ forwarders │
-//!                 │              │ full → Busy{retry_after_ms}        (ServicePool) │
-//!                 │              ▼                                        │ route by │
-//!                 │            writer ◀── responses (id-translated) ──┐  │ litho    │
-//!                 │                                                   │  ▼ fingerprint
+//!  client ──TCP──▶ acceptor ─▶ reader ── register in inflight, route by ────┐     │
+//!                 │              │       litho fingerprint, write the frame │     │
+//!                 │              ▼                                          │     │
+//!                 │            writer ◀── responses (id-translated) ──┐     │     │
+//!                 │                                                   │     ▼     │
 //!                 │   prober ──ping/pong──▶ ┌────────┐  shard reader ┴─ shard writer
 //!                 └─────────────────────────│ shard 0│◀───────────────────────────┘
 //!                      (per-shard health)   │ shard 1│  … one TCP channel per shard
@@ -24,16 +24,17 @@
 //! ```
 //!
 //! * Client-facing threads mirror [`crate::server`]: an acceptor with a
-//!   connection cap, one reader and one writer per connection, and a
-//!   bounded request queue whose overflow answers a typed
-//!   [`ResponseBody::Busy`] rejection.
-//! * **Forwarders** are jobs on a [`camo_runtime::ServicePool`]. Each pops
-//!   a request, computes its lithography fingerprint
+//!   connection cap (over it, a typed [`ResponseBody::Busy`] rejection),
+//!   one reader and one writer per connection.
+//! * Each connection's **reader forwards** the requests it decodes: it
+//!   registers the request in the in-flight table under a fresh router
+//!   id, computes its lithography fingerprint
 //!   ([`camo_litho::LithoConfig::fingerprint`] via
-//!   [`crate::exec::litho_spec`]), and writes it — under a fresh router id
-//!   — to the shard that [`shard_preference`] ranks first among the live
-//!   ones. Consistent routing means every configuration's requests land on
-//!   one shard, which therefore keeps a **hot context** for it.
+//!   [`crate::exec::litho_spec`]), and writes it to the shard that
+//!   [`shard_preference`] ranks first among the live ones. So one
+//!   connection's pipelined requests reach the shard in the order they
+//!   were sent. Consistent routing means every configuration's requests
+//!   land on one shard, which therefore keeps a **hot context** for it.
 //! * One **shard reader** per backend demultiplexes responses: router ids
 //!   are translated back to client ids and forwarded to the owning
 //!   connection's writer. Sweep cases stream through one by one.
@@ -47,8 +48,10 @@
 //!
 //! # Failure semantics
 //!
-//! * `busy` from a shard is propagated to the client unchanged — the shard
-//!   tier never converts backpressure into blocking.
+//! * The router holds no request queue: each shard's bounded queue
+//!   (`--queue-depth`) answers `busy`, and the router propagates it to the
+//!   client unchanged — the shard tier never converts backpressure into
+//!   blocking.
 //! * A dead shard is routed around immediately (its in-flight work is
 //!   redispatched), and — when the tier is supervised ([`route_spawned`]) —
 //!   **respawned** by the supervisor thread under the
@@ -70,8 +73,8 @@
 //!   router counters, per-request-kind latency histograms and per-shard
 //!   status (the prober's probes double as metrics fetches, so shard
 //!   self-reports are cached and cost nothing extra).
-//! * Shutdown drains in order: stop accepting, forward everything queued,
-//!   wait for in-flight work (bounded by
+//! * Shutdown drains in order: stop accepting (a request decoded after
+//!   that answers `shutting_down`), wait for in-flight work (bounded by
 //!   [`RouterConfig::drain_timeout`]), then send each live shard a
 //!   `shutdown` request and reap the supervised processes.
 
@@ -87,7 +90,6 @@ use crate::wire::{
     decode_response_v2, encode_request_parts_v2, read_frame_v2, ErrorCode, FrameV2, RequestBody,
     Response, ResponseBody,
 };
-use camo_runtime::{BoundedQueue, ServicePool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -102,12 +104,8 @@ use std::time::{Duration, Instant};
 pub struct RouterConfig {
     /// Front address clients connect to (port 0 picks an ephemeral port).
     pub addr: SocketAddr,
-    /// Forwarding-queue depth; a full queue answers `busy` (backpressure).
-    pub queue_depth: usize,
     /// Maximum simultaneously open client connections.
     pub max_connections: usize,
-    /// Forwarder jobs draining the queue onto shard channels.
-    pub forwarders: usize,
     /// Retry hint carried by router-side `busy` rejections, milliseconds.
     pub retry_after_ms: u64,
     /// Interval between health probes to each live shard.
@@ -132,9 +130,7 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            queue_depth: 64,
             max_connections: 32,
-            forwarders: 2,
             retry_after_ms: 50,
             probe_interval: Duration::from_millis(100),
             probe_timeout: Duration::from_secs(5),
@@ -156,9 +152,6 @@ impl RouterConfig {
                 return Err(ServeError::Config(format!("{name} must be positive")));
             }
             Ok(())
-        }
-        if self.queue_depth == 0 {
-            return Err(ServeError::Config("queue depth must be at least 1".into()));
         }
         if self.max_connections == 0 {
             return Err(ServeError::Config(
@@ -183,30 +176,6 @@ impl RouterConfig {
         }
         Ok(())
     }
-}
-
-/// Counters exposed for logging, the bench harness and the affinity tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Client connections accepted.
-    pub connections: usize,
-    /// Requests rejected with router-side `busy` (queue full or connection
-    /// cap).
-    pub rejected: usize,
-    /// Requests whose final response (or final sweep case) was forwarded.
-    pub completed: usize,
-    /// Requests re-sent to another shard after their shard died.
-    pub redispatched: usize,
-    /// Requests forwarded to each shard, in shard order (redispatches
-    /// count again on the new shard).
-    pub forwarded_per_shard: Vec<usize>,
-    /// Liveness of each shard at the time of the snapshot.
-    pub shard_alive: Vec<bool>,
-    /// Successful supervised respawns of each shard, in shard order.
-    pub respawns_per_shard: Vec<usize>,
-    /// Whether each shard has been benched by the flap breaker (it keeps
-    /// dying; the supervisor has given up on it).
-    pub shard_benched: Vec<bool>,
 }
 
 /// The deterministic shard preference order for one lithography
@@ -260,7 +229,7 @@ struct Inflight {
     /// Case count, learned from the first case frame.
     total_cases: Option<usize>,
     /// When the request was admitted at the front (latency histograms
-    /// include queue wait and any redispatch detour).
+    /// include any redispatch detour).
     admitted_at: Instant,
     /// The request kind, for the per-kind latency histogram.
     kind: &'static str,
@@ -323,7 +292,6 @@ struct ShardSupervision {
 
 struct RouterShared {
     config: RouterConfig,
-    queue: BoundedQueue<AdmittedRequest>,
     links: Vec<ShardLink>,
     front: FrontState,
     inflight: Mutex<BTreeMap<u64, Inflight>>, // lock-order: 40
@@ -399,29 +367,52 @@ impl RouterShared {
             .filter(|l| l.alive.load(Ordering::SeqCst))
             .count()
     }
-
-    fn request_shutdown(&self) {
-        self.queue.close();
-        self.front.begin_shutdown();
-    }
 }
 
 impl FrontHandler for RouterShared {
-    type Queued = AdmittedRequest;
-
     fn front(&self) -> &FrontState {
         &self.front
     }
 
-    fn queue(&self) -> &BoundedQueue<AdmittedRequest> {
-        &self.queue
+    /// Registers the request in flight and writes it to its shard, on the
+    /// reader that decoded it. A shard's `busy` comes back through the
+    /// shard reader; the router itself refuses only at shutdown.
+    fn submit(&self, admitted: AdmittedRequest) -> Option<ResponseBody> {
+        let router_id = self.fresh_id();
+        let entry = Inflight {
+            reply: admitted.reply,
+            client_id: admitted.request.id,
+            trace: admitted.request.trace,
+            kind: admitted.request.body.kind(),
+            body: Arc::new(admitted.request.body),
+            shard: usize::MAX,
+            attempts: 0,
+            forwarded_cases: BTreeSet::new(),
+            total_cases: None,
+            admitted_at: admitted.admitted_at,
+        };
+        let depth = {
+            let mut inflight = self.lock_inflight();
+            // Checked under the in-flight lock, which the drain takes
+            // after the stop flag is set: a request is either refused
+            // here or registered where the drain waits for it.
+            if self.front.stop.load(Ordering::SeqCst) {
+                return Some(ResponseBody::ShuttingDown);
+            }
+            inflight.insert(router_id, entry);
+            inflight.len()
+        };
+        self.in_flight_high_water
+            .fetch_max(depth, Ordering::Relaxed); // relaxed-ok: stats gauge; reads are reporting-only
+        send_to_shard(self, router_id);
+        None
     }
 
     fn on_shutdown_request(&self) {
-        self.request_shutdown();
+        self.front.begin_shutdown();
     }
 
-    fn metrics(&self) -> ResponseBody {
+    fn metrics(&self) -> MetricsReport {
         let shards: Vec<ShardStatus> = self
             .links
             .iter()
@@ -446,11 +437,11 @@ impl FrontHandler for RouterShared {
                 }
             })
             .collect();
-        ResponseBody::Metrics(MetricsReport {
+        MetricsReport {
             role: "router".into(),
             simd_arch: camo_litho::simd_backend().into(),
-            queue_depth: self.queue.len(),
-            queue_high_water: self.queue.high_water(),
+            queue_depth: 0,
+            queue_high_water: 0,
             in_flight: self.lock_inflight().len(),
             in_flight_high_water: self.in_flight_high_water.load(Ordering::Relaxed), // relaxed-ok: stats gauge; reads are reporting-only
             completed: self.completed.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
@@ -460,7 +451,7 @@ impl FrontHandler for RouterShared {
             latency: self.latency.snapshot(),
             stage_latency: self.tracer.stage_latency(),
             shards,
-        })
+        }
     }
 
     fn tracer(&self) -> &Arc<Tracer> {
@@ -470,7 +461,7 @@ impl FrontHandler for RouterShared {
     fn trace(&self) -> ResponseBody {
         // The router's own spans, then each live shard's — pulled over
         // short-lived dedicated connections (a rare admin pull must not
-        // thread through the forwarding channels or take any router lock).
+        // thread through the shard channels or take any router lock).
         let mut report = self.tracer.report("router");
         for (index, link) in self.links.iter().enumerate() {
             if !link.alive.load(Ordering::SeqCst) {
@@ -544,7 +535,7 @@ impl FrontHandler for RouterShared {
 
 /// Pulls one shard's flight-recorder snapshot over a dedicated short-lived
 /// connection. Trace pulls are rare admin reads: a fresh connection keeps
-/// them off the forwarding channels (no writer-lock contention, no frame
+/// them off the shard channels (no writer-lock contention, no frame
 /// interleaving with data-plane traffic) and the tight timeouts keep a
 /// wedged shard from stalling the pull for the rest of the tier. Any
 /// failure simply omits the shard from the merged report.
@@ -574,7 +565,6 @@ pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
     acceptor: Option<JoinHandle<()>>,
-    forwarders: Option<ServicePool>,
     prober: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
 }
@@ -626,9 +616,7 @@ fn start(
             state: Mutex::new(()),
         })
         .collect();
-    let shard_count = links.len();
-    let forwarder_count = config.forwarders.max(1);
-    let supervision = (0..shard_count)
+    let supervision = (0..links.len())
         .map(|_| ShardSupervision {
             attempts: 0,
             next_attempt: Instant::now(),
@@ -636,7 +624,6 @@ fn start(
         })
         .collect();
     let shared = Arc::new(RouterShared {
-        queue: BoundedQueue::new(config.queue_depth),
         links,
         front: FrontState::new(config.max_connections, config.retry_after_ms),
         inflight: Mutex::new(BTreeMap::new()),
@@ -668,7 +655,6 @@ fn start(
     if shared.alive_count() == 0 {
         return Err(fail_start(
             &shared,
-            None,
             Vec::new(),
             "shard channels",
             io::Error::new(
@@ -676,31 +662,6 @@ fn start(
                 "no shard accepted the router's connection",
             ),
         ));
-    }
-
-    let pool = match ServicePool::new(forwarder_count, forwarder_count) {
-        Ok(pool) => pool,
-        Err(e) => {
-            return Err(fail_start(
-                &shared,
-                None,
-                Vec::new(),
-                "forwarder pool",
-                e.source,
-            ))
-        }
-    };
-    for _ in 0..forwarder_count {
-        let worker = Arc::clone(&shared);
-        if pool.submit(move || forward_loop(&worker)).is_err() {
-            return Err(fail_start(
-                &shared,
-                Some(pool),
-                Vec::new(),
-                "forwarder",
-                io::Error::other("forwarder pool rejected a fresh job"),
-            ));
-        }
     }
 
     let prober = {
@@ -711,15 +672,7 @@ fn start(
     };
     let prober = match prober {
         Ok(handle) => handle,
-        Err(source) => {
-            return Err(fail_start(
-                &shared,
-                Some(pool),
-                Vec::new(),
-                "prober",
-                source,
-            ))
-        }
+        Err(source) => return Err(fail_start(&shared, Vec::new(), "prober", source)),
     };
 
     let supervisor = if shared.supervised {
@@ -730,13 +683,7 @@ fn start(
         {
             Ok(handle) => Some(handle),
             Err(source) => {
-                return Err(fail_start(
-                    &shared,
-                    Some(pool),
-                    vec![prober],
-                    "supervisor",
-                    source,
-                ));
+                return Err(fail_start(&shared, vec![prober], "supervisor", source));
             }
         }
     } else {
@@ -754,7 +701,7 @@ fn start(
         Err(source) => {
             let mut threads = vec![prober];
             threads.extend(supervisor);
-            return Err(fail_start(&shared, Some(pool), threads, "acceptor", source));
+            return Err(fail_start(&shared, threads, "acceptor", source));
         }
     };
 
@@ -762,7 +709,6 @@ fn start(
         addr,
         shared,
         acceptor: Some(acceptor),
-        forwarders: Some(pool),
         prober: Some(prober),
         supervisor,
     })
@@ -772,16 +718,12 @@ fn start(
 /// outlive a failed [`start`] — and converts the cause into a typed error.
 fn fail_start(
     shared: &Arc<RouterShared>,
-    pool: Option<ServicePool>,
     threads: Vec<JoinHandle<()>>,
     what: &'static str,
     source: io::Error,
 ) -> ServeError {
-    shared.request_shutdown();
+    shared.front.begin_shutdown();
     shared.probe_stop.store(true, Ordering::SeqCst);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
     for shard in 0..shared.links.len() {
         fail_shard_now(shared, shard);
     }
@@ -805,9 +747,9 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
     let Ok(stream) = TcpStream::connect(link.addr()) else {
         return false;
     };
-    // A wedged shard must not hang a forwarder behind a full send buffer.
+    // A wedged shard must not hang a reader behind a full send buffer.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    // Forwarders write one frame per request; Nagle would hold a frame
+    // Readers write one frame per request; Nagle would hold a frame
     // behind an unacknowledged one until the shard's delayed ACK.
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
@@ -816,8 +758,8 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
     let Ok(closer) = stream.try_clone() else {
         return false;
     };
-    // Handshake BEFORE the link goes live: no forwarder can write a binary
-    // frame ahead of the preface. The reader created here is handed to the
+    // Handshake BEFORE the link goes live: no request can be written
+    // ahead of the preface. The reader created here is handed to the
     // reader thread afterwards so any bytes it buffered survive. The wait
     // is bounded: a shard that never answers must not wedge connect (the
     // probe plane would otherwise catch it only much later).
@@ -864,38 +806,6 @@ fn connect_shard(shared: &Arc<RouterShared>, index: usize) -> bool {
 // ---------------------------------------------------------------------------
 // Forwarding
 // ---------------------------------------------------------------------------
-
-fn forward_loop(shared: &RouterShared) {
-    while let Some(routed) = shared.queue.pop() {
-        let router_id = shared.fresh_id();
-        if let Some(id) = routed.request.trace {
-            shared
-                .tracer
-                .record_since(id, Stage::QueueWait, routed.admitted_at);
-        }
-        let entry = Inflight {
-            reply: routed.reply,
-            client_id: routed.request.id,
-            trace: routed.request.trace,
-            kind: routed.request.body.kind(),
-            body: Arc::new(routed.request.body),
-            shard: usize::MAX,
-            attempts: 0,
-            forwarded_cases: BTreeSet::new(),
-            total_cases: None,
-            admitted_at: routed.admitted_at,
-        };
-        let depth = {
-            let mut inflight = shared.lock_inflight();
-            inflight.insert(router_id, entry);
-            inflight.len()
-        };
-        shared
-            .in_flight_high_water
-            .fetch_max(depth, Ordering::Relaxed); // relaxed-ok: stats gauge; reads are reporting-only
-        send_to_shard(shared, router_id);
-    }
-}
 
 /// (Re)dispatches one in-flight request to the best live shard in its
 /// fingerprint's preference order; exhausting the tier completes the
@@ -994,7 +904,7 @@ fn write_to_shard(shared: &RouterShared, shard: usize, epoch: usize, frame: &[u8
         return false;
     }
     // The writer lock IS the shard channel: holding it across the write
-    // serialises concurrent forwarders onto one socket, and the stream's
+    // serialises concurrent readers onto one socket, and the stream's
     // 10s write timeout keeps a wedged shard from pinning it. The epoch
     // check under the lock closes the respawn race — bytes meant for one
     // incarnation (a probe, a restart's shutdown) never reach its
@@ -1468,47 +1378,10 @@ impl RouterHandle {
         self.shared.links.iter().map(|l| l.addr()).collect()
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> RouterStats {
-        RouterStats {
-            connections: self.shared.front.connections.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            rejected: self.shared.front.rejected.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            completed: self.shared.completed.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            redispatched: self.shared.redispatched.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            forwarded_per_shard: self
-                .shared
-                .links
-                .iter()
-                .map(|l| l.forwarded.load(Ordering::Relaxed)) // relaxed-ok: stats counter; reads are reporting-only
-                .collect(),
-            shard_alive: self
-                .shared
-                .links
-                .iter()
-                .map(|l| l.alive.load(Ordering::SeqCst))
-                .collect(),
-            respawns_per_shard: self
-                .shared
-                .links
-                .iter()
-                .map(|l| l.respawns.load(Ordering::Relaxed)) // relaxed-ok: stats counter; reads are reporting-only
-                .collect(),
-            shard_benched: self
-                .shared
-                .links
-                .iter()
-                .map(|l| l.benched.load(Ordering::SeqCst))
-                .collect(),
-        }
-    }
-
     /// The router's own [`MetricsReport`] — the same payload a `metrics`
     /// wire request answers, without a round-trip.
     pub fn metrics(&self) -> MetricsReport {
-        match FrontHandler::metrics(&*self.shared) {
-            ResponseBody::Metrics(report) => report,
-            _ => unreachable!("router metrics always answers a metrics body"),
-        }
+        self.shared.metrics()
     }
 
     /// Force-kills one **supervised** shard process — the
@@ -1539,18 +1412,16 @@ impl RouterHandle {
         self.shared.front.wait_for_shutdown();
     }
 
-    /// Gracefully shuts the whole tier down: stop accepting, forward
-    /// everything queued, wait (bounded) for in-flight responses, ask every
-    /// live shard to drain and exit, reap supervised processes, join all
-    /// threads.
-    pub fn shutdown(mut self) -> RouterStats {
-        self.shared.request_shutdown();
-        if let Some(pool) = self.forwarders.take() {
-            pool.shutdown();
-        }
+    /// Gracefully shuts the whole tier down: stop accepting, wait
+    /// (bounded) for in-flight responses, ask every live shard to drain and
+    /// exit, reap supervised processes, join all threads. Returns the final
+    /// [`MetricsReport`].
+    pub fn shutdown(mut self) -> MetricsReport {
+        self.shared.front.begin_shutdown();
         self.drain_inflight();
         self.shared.probe_stop.store(true, Ordering::SeqCst);
-        self.finish()
+        self.finish();
+        self.metrics()
     }
 
     /// Waits for in-flight requests, erroring out whatever remains after
@@ -1579,21 +1450,12 @@ impl RouterHandle {
 
     /// Sends every live shard a `shutdown`, joins all router threads and
     /// reaps supervised shard processes.
-    fn finish(&mut self) -> RouterStats {
+    fn finish(&mut self) {
         // The supervisor goes first (probe_stop is already set): a respawn
         // racing the drain below could resurrect a shard after its
         // shutdown frame was sent.
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
-        }
-        while let Some(r) = self.shared.queue.try_pop() {
-            let _ = r.reply.send(Outbound::traced(
-                Response {
-                    id: r.request.id,
-                    body: ResponseBody::ShuttingDown,
-                },
-                r.request.trace,
-            ));
         }
         for shard in 0..self.shared.links.len() {
             let link = &self.shared.links[shard];
@@ -1637,17 +1499,13 @@ impl RouterHandle {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        self.shared.request_shutdown();
+        self.shared.front.begin_shutdown();
         self.shared.probe_stop.store(true, Ordering::SeqCst);
-        if let Some(pool) = self.forwarders.take() {
-            drop(pool);
-        }
         self.finish();
     }
 }

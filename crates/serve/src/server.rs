@@ -9,7 +9,7 @@
 //! acceptor ──accept──▶ reader (1/conn) ──try_push──▶ BoundedQueue ◀─prepend tasks─┐
 //!                        │  full? ──▶ Busy{retry_after_ms} to writer │ pop         │
 //!                        ▼                                           ▼             │
-//!                      writer (1/conn) ◀──last task responds── workers (ServicePool)
+//!                      writer (1/conn) ◀──last task responds── workers (--threads)
 //! ```
 //!
 //! * The **acceptor** owns the listener (non-blocking, so shutdown is
@@ -20,10 +20,10 @@
 //!   the shared [`BoundedQueue`]. A full queue is answered *immediately*
 //!   with a typed [`ResponseBody::Busy`] rejection carrying a retry hint —
 //!   the reader never blocks, never drops a request silently.
-//! * **Workers** — `threads` long-lived jobs on one [`ServicePool`] — pop
-//!   the queue. The worker that pops a request plans it
-//!   (`exec::Plan`) into one task per clip, sweep case or layout
-//!   tile, on a simulator from the shared [`ContextCache`], so every
+//! * **Workers** — `threads` long-lived threads — pop the queue. The
+//!   worker that pops a request plans it (`exec::Plan`) into one task per
+//!   clip, sweep case or layout tile, on a simulator from the shared
+//!   [`ContextCache`], so every
 //!   request under one configuration shares one immutable
 //!   [`camo_litho::LithoContext`] and one workspace pool. It prepends the
 //!   follow-on tasks to the queue, ahead of later requests and outside the
@@ -45,8 +45,8 @@
 //! [`ServerHandle::wait_for_shutdown_request`]) stops the acceptor, closes
 //! the request queue (later pushes answer `shutting_down`), lets the
 //! workers drain every admitted request and its tasks, read-shuts every
-//! connection so readers unblock, joins all threads and finally propagates
-//! the first worker panic, if any — the [`ServicePool`] contract.
+//! connection so readers unblock, joins all threads and finally re-raises
+//! the first worker-thread panic, if any, once every thread is joined.
 
 use crate::error::ServeError;
 use crate::exec::{litho_spec, EngineMemo, Output, Plan};
@@ -55,11 +55,10 @@ use crate::stats::{KindLatencies, MetricsReport};
 use crate::trace::{RecorderSink, Stage, Tracer};
 use crate::wire::{ErrorCode, Response, ResponseBody};
 use camo_litho::{ContextCache, LithoConfig, LithoSimulator};
-use camo_runtime::{BoundedQueue, ServicePool};
+use camo_runtime::{BoundedQueue, PushError};
 use std::any::Any;
-use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -120,24 +119,13 @@ impl ServerConfig {
     }
 }
 
-/// Counters exposed for logging and the bench harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Requests answered with a result (every sweep counts once).
-    pub served: usize,
-    /// Requests rejected with `busy` (queue full) plus connections turned
-    /// away at the connection cap.
-    pub rejected: usize,
-    /// Connections accepted.
-    pub connections: usize,
-}
-
 struct Shared {
     config: ServerConfig,
     queue: BoundedQueue<Work>,
     contexts: ContextCache,
     front: FrontState,
-    served: AtomicUsize,
+    /// Requests answered with a result (every sweep counts once).
+    completed: AtomicUsize,
     /// Requests planned but not yet answered.
     in_flight: AtomicUsize,
     /// Most requests ever simultaneously planned but not yet answered.
@@ -165,36 +153,38 @@ impl Shared {
 }
 
 impl FrontHandler for Shared {
-    type Queued = Work;
-
     fn front(&self) -> &FrontState {
         &self.front
     }
 
-    fn queue(&self) -> &BoundedQueue<Work> {
-        &self.queue
+    fn submit(&self, admitted: AdmittedRequest) -> Option<ResponseBody> {
+        match self.queue.try_push(Work::Request(Box::new(admitted))) {
+            Ok(()) => None,
+            Err(PushError::Full(_)) => Some(self.front.busy()),
+            Err(PushError::Closed(_)) => Some(ResponseBody::ShuttingDown),
+        }
     }
 
     fn on_shutdown_request(&self) {
         self.request_shutdown();
     }
 
-    fn metrics(&self) -> ResponseBody {
-        ResponseBody::Metrics(MetricsReport {
+    fn metrics(&self) -> MetricsReport {
+        MetricsReport {
             role: "server".into(),
             simd_arch: camo_litho::simd_backend().into(),
-            queue_depth: self.queue.len(),
+            queue_depth: self.queue.depth(),
             queue_high_water: self.queue.high_water(),
             in_flight: self.in_flight.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
             in_flight_high_water: self.in_flight_high_water.load(Ordering::Relaxed), // relaxed-ok: stats gauge; reads are reporting-only
-            completed: self.served.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
+            completed: self.completed.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
             busy_rejected: self.front.rejected.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
             redispatched: 0,
             respawns: 0,
             latency: self.latency.snapshot(),
             stage_latency: self.tracer.stage_latency(),
             shards: Vec::new(),
-        })
+        }
     }
 
     fn tracer(&self) -> &Arc<Tracer> {
@@ -212,7 +202,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Option<ServicePool>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// Binds and starts a server; returns once the listener is live. Fails
@@ -238,7 +228,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         queue: BoundedQueue::new(config.queue_depth),
         contexts,
         front: FrontState::new(config.max_connections, config.retry_after_ms),
-        served: AtomicUsize::new(0),
+        completed: AtomicUsize::new(0),
         in_flight: AtomicUsize::new(0),
         in_flight_high_water: AtomicUsize::new(0),
         latency: KindLatencies::new(),
@@ -246,30 +236,26 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         config,
     });
 
-    let workers = match shared.config.threads {
-        0 => None,
-        n => {
-            let pool = ServicePool::new(n, n).map_err(|e| ServeError::Spawn {
-                what: "worker pool",
-                source: e.source,
-            })?;
-            for _ in 0..n {
-                let worker = Arc::clone(&shared);
-                if pool.submit(move || worker_loop(&worker)).is_err() {
-                    // Unreachable for a fresh pool (submit fails only
-                    // after close), but degrade typed: release the
-                    // workers before reporting.
-                    shared.queue.close();
-                    pool.shutdown();
-                    return Err(ServeError::Spawn {
-                        what: "worker",
-                        source: io::Error::other("fresh worker pool rejected a job"),
-                    });
-                }
+    let mut workers = Vec::with_capacity(shared.config.threads);
+    for i in 0..shared.config.threads {
+        let worker = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("camo-serve-worker-{i}"))
+            .spawn(move || worker_loop(&worker));
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(source) => {
+                // Close the (still empty) queue so the workers already
+                // started exit, and join them before reporting.
+                shared.request_shutdown();
+                join_workers(workers);
+                return Err(ServeError::Spawn {
+                    what: "worker",
+                    source,
+                });
             }
-            Some(pool)
         }
-    };
+    }
 
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -280,10 +266,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
     let acceptor = match acceptor {
         Ok(handle) => handle,
         Err(source) => {
-            // Unwind what already started: close the queue so the worker
-            // jobs exit, then join them by dropping the pool.
+            // Unwind what already started: close the queue so the workers
+            // exit, then join them.
             shared.request_shutdown();
-            drop(workers);
+            join_workers(workers);
             return Err(ServeError::Spawn {
                 what: "acceptor",
                 source,
@@ -305,13 +291,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            served: self.shared.served.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            rejected: self.shared.front.rejected.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-            connections: self.shared.front.connections.load(Ordering::Relaxed), // relaxed-ok: stats counter; reads are reporting-only
-        }
+    /// The server's own [`MetricsReport`] — the same payload a `metrics`
+    /// wire request answers, without a round-trip.
+    pub fn metrics(&self) -> MetricsReport {
+        self.shared.metrics()
     }
 
     /// Blocks until a client sends a `shutdown` request (the serve binary's
@@ -322,22 +305,23 @@ impl ServerHandle {
 
     /// Gracefully shuts down: stop accepting, let the workers drain every
     /// admitted request and its tasks, flush and close all connections,
-    /// join all threads, and propagate the first worker panic (if any).
-    pub fn shutdown(mut self) -> ServerStats {
+    /// join all threads, and re-raise the first worker-thread panic (if
+    /// any). Returns the final [`MetricsReport`].
+    pub fn shutdown(mut self) -> MetricsReport {
         self.shared.request_shutdown();
-        if let Some(pool) = self.workers.take() {
-            // Waits for the worker jobs to drain the (closed) queue, then
-            // joins and propagates parked panics. If that propagates, Drop
-            // still runs `finish` during unwinding.
-            pool.shutdown();
+        // The workers drain the (closed) queue before they exit.
+        let panicked = join_workers(std::mem::take(&mut self.workers));
+        self.finish();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
         }
-        self.finish()
+        self.metrics()
     }
 
     /// Answers whatever is still queued (only possible when no worker ran
     /// — the saturation-test mode, whose queue holds requests only) and
     /// joins the acceptor, which in turn joins every connection thread.
-    fn finish(&mut self) -> ServerStats {
+    fn finish(&mut self) {
         while let Some(work) = self.shared.queue.try_pop() {
             if let Work::Request(q) = work {
                 let _ = q.reply.send(Outbound::traced(
@@ -352,20 +336,30 @@ impl ServerHandle {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.request_shutdown();
-        if let Some(pool) = self.workers.take() {
-            // Drain and join without panic propagation (ServicePool::drop);
-            // the explicit shutdown() path is the observable one.
-            drop(pool);
-        }
+        // Drain and join without re-raising a worker panic; the explicit
+        // shutdown() path is the observable one.
+        join_workers(std::mem::take(&mut self.workers));
         self.finish();
     }
+}
+
+/// Joins every worker thread and returns the first panic payload, if any.
+/// Workers run planning and tasks under `catch_unwind`, so a worker thread
+/// that panicked hit a bug in the executor itself.
+fn join_workers(workers: Vec<JoinHandle<()>>) -> Option<Box<dyn Any + Send>> {
+    let mut first = None;
+    for handle in workers {
+        if let Err(payload) = handle.join() {
+            first.get_or_insert(payload);
+        }
+    }
+    first
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ impl Drop for ServerHandle {
 // ---------------------------------------------------------------------------
 
 /// One item on the server's queue.
-pub(crate) enum Work {
+enum Work {
     /// An admitted request, not yet planned (bounded: counts against
     /// `queue_depth` and in the `queue_depth`/`queue_high_water` metrics).
     Request(Box<AdmittedRequest>),
@@ -381,14 +375,8 @@ pub(crate) enum Work {
     Task(Arc<Job>, usize),
 }
 
-impl From<AdmittedRequest> for Work {
-    fn from(admitted: AdmittedRequest) -> Self {
-        Self::Request(Box::new(admitted))
-    }
-}
-
 /// A planned request and the outputs its tasks have left so far.
-pub(crate) struct Job {
+struct Job {
     admitted: AdmittedRequest,
     plan: Plan,
     progress: Mutex<Progress>, // lock-order: 70
@@ -473,7 +461,7 @@ fn plan(shared: &Shared, admitted: AdmittedRequest) -> Option<Arc<Job>> {
         None => Err("control requests are answered inline".to_string()),
     });
     if let (Some(id), Some(start)) = (trace, popped) {
-        shared.tracer.record_since(id, Stage::Coalesce, start);
+        shared.tracer.record_since(id, Stage::Plan, start);
     }
     let (tasks, plan) = match planned {
         Ok(planned) => planned,
@@ -521,13 +509,13 @@ fn run_task(shared: &Shared, job: &Job, index: usize, engines: &mut EngineMemo) 
 
 /// Sends a request's response frames — or, when it failed, one typed
 /// `internal` error — after counting it out of `in_flight` and, on
-/// success, into `served` and the latency histograms: a client that has
+/// success, into `completed` and the latency histograms: a client that has
 /// its response must observe a `metrics` report that already includes it.
 fn answer(shared: &Shared, admitted: &AdmittedRequest, frames: Result<Vec<ResponseBody>, String>) {
     shared.in_flight.fetch_sub(1, Ordering::Relaxed); // relaxed-ok: gauge read only by metrics reporting
     let frames = match frames {
         Ok(frames) => {
-            shared.served.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
+            shared.completed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; reads are reporting-only
             shared
                 .latency
                 .record(admitted.request.body.kind(), admitted.admitted_at.elapsed());
@@ -596,6 +584,35 @@ mod tests {
                 ResponseBody::Pong,
                 ResponseBody::Pong
             ]
+        );
+    }
+
+    /// A panicking worker thread neither strands its siblings nor hides
+    /// its panic: every worker is joined and the first payload returned.
+    #[test]
+    fn join_workers_joins_every_worker_and_returns_the_first_panic() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let workers = (0..3)
+            .map(|i| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    if i == 0 {
+                        panic!("executor bug");
+                    }
+                    let _ = done.send(i);
+                })
+            })
+            .collect();
+        drop(done);
+        let payload = join_workers(workers).expect("the panic is returned");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("executor bug")
+        );
+        assert_eq!(
+            finished.try_iter().count(),
+            2,
+            "both siblings ran to the end"
         );
     }
 

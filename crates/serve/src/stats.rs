@@ -266,11 +266,12 @@ pub struct MetricsReport {
     /// result qualifier.
     pub simd_arch: String,
     /// Current request-queue depth (a server's follow-on tasks are not
-    /// counted).
+    /// counted). A router holds no queue and reports 0.
     pub queue_depth: usize,
     /// Deepest the request queue has ever been (exact; never resets).
+    /// A router holds no queue and reports 0.
     pub queue_high_water: usize,
-    /// Requests taken off the queue but not yet answered (planned by a
+    /// Requests started but not yet answered (popped and planned by a
     /// server's worker, or forwarded by a router).
     pub in_flight: usize,
     /// Most requests ever simultaneously in flight (exact; never resets).

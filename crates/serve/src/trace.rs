@@ -2,8 +2,8 @@
 //!
 //! A sampled request is assigned a **trace id** at admission; the id rides
 //! the wire frame (`trace_id` field) from router to shard, and every hop
-//! records typed [`SpanRecord`]s — admit, queue-wait, forward, shard-queue,
-//! coalesce, context-fetch, the litho stages (rasterize, convolve, resist,
+//! records typed [`SpanRecord`]s — admit, forward, shard-queue, plan,
+//! context-fetch, the litho stages (rasterize, convolve, resist,
 //! EPE, PV-band) and the response encode/write — into a lock-free
 //! per-process ring buffer, the [`FlightRecorder`]. The recorder is a
 //! *flight recorder*: it never blocks the request path, never allocates
@@ -36,16 +36,16 @@ pub const DEFAULT_RECORDER_CAPACITY: usize = 8192;
 /// writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Decode-to-enqueue on the process that admitted the request.
+    /// Admission on the process that decoded the request, up to its
+    /// hand-off (the server's queue push, the router's forward).
     Admit,
-    /// Router front queue: admission to forwarder pickup.
-    QueueWait,
-    /// Router forwarder: encode + write of the frame to the shard.
+    /// Router: the write of the request's frame to its shard channel (a
+    /// redispatch records another).
     Forward,
     /// Serving process queue: admission to the worker that pops it.
     ShardQueue,
     /// Planning the popped request into its tasks (context fetch included).
-    Coalesce,
+    Plan,
     /// `ContextCache` lookup (context build on a miss).
     ContextFetch,
     /// Litho: coverage rasterisation.
@@ -66,12 +66,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in request-lifecycle order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Admit,
-        Stage::QueueWait,
         Stage::Forward,
         Stage::ShardQueue,
-        Stage::Coalesce,
+        Stage::Plan,
         Stage::ContextFetch,
         Stage::Rasterize,
         Stage::Convolve,
@@ -86,10 +85,9 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Admit => "admit",
-            Stage::QueueWait => "queue-wait",
             Stage::Forward => "forward",
             Stage::ShardQueue => "shard-queue",
-            Stage::Coalesce => "coalesce",
+            Stage::Plan => "plan",
             Stage::ContextFetch => "context-fetch",
             Stage::Rasterize => "rasterize",
             Stage::Convolve => "convolve",
@@ -762,10 +760,9 @@ mod tests {
             names,
             [
                 "admit",
-                "queue-wait",
                 "forward",
                 "shard-queue",
-                "coalesce",
+                "plan",
                 "context-fetch",
                 "rasterize",
                 "convolve",

@@ -2130,7 +2130,7 @@ mod tests {
             redispatched: 4,
             respawns: 2,
             latency: vec![latency("optimize")],
-            stage_latency: vec![latency("queue-wait")],
+            stage_latency: vec![latency("forward")],
             shards: (0..shards).map(status).collect(),
         }
     }
@@ -2227,19 +2227,13 @@ mod tests {
         let shard = ShardTrace {
             index: 0,
             dropped: 0,
-            spans: spans(&[
-                "shard-queue",
-                "coalesce",
-                "context-fetch",
-                "rasterize",
-                "write",
-            ]),
+            spans: spans(&["shard-queue", "plan", "context-fetch", "rasterize", "write"]),
         };
         let reports = [
             TraceReport {
                 role: "router".into(),
                 dropped: 3,
-                spans: spans(&["admit", "queue-wait", "forward"]),
+                spans: spans(&["admit", "forward"]),
                 shards: vec![
                     shard,
                     ShardTrace {

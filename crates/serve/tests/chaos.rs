@@ -312,10 +312,10 @@ fn chaos_soak_kills_random_shards_and_stays_bit_identical() {
         "the soak recorded latency samples: {report:?}"
     );
 
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
     assert!(
-        stats.redispatched > 0,
-        "kills mid-stream must have forced redispatches: {stats:?}"
+        report.redispatched > 0,
+        "kills mid-stream must have forced redispatches: {report:?}"
     );
     let leaks = leaked_children();
     assert!(leaks.is_empty(), "leaked shard processes: {leaks:?}");
@@ -433,10 +433,10 @@ fn pipelined_v2_soak_survives_kills_without_duplicates() {
         report.shards.iter().all(|s| s.alive && !s.benched),
         "every shard ends alive and unbenched: {report:?}"
     );
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
     assert!(
-        stats.redispatched > 0,
-        "kills under a pipelined stream must have forced redispatches: {stats:?}"
+        report.redispatched > 0,
+        "kills under a pipelined stream must have forced redispatches: {report:?}"
     );
     let leaks = leaked_children();
     assert!(leaks.is_empty(), "leaked shard processes: {leaks:?}");
@@ -597,8 +597,11 @@ fn breaker_benches_a_shard_that_fails_its_respawn_handshake() {
         assert_bit_identical(tagged, &completed, &contexts, "served by the survivor");
     }
 
-    let stats = handle.shutdown();
-    assert!(stats.shard_benched[0], "bench state visible in stats");
+    let report = handle.shutdown();
+    assert!(
+        report.shards[0].benched,
+        "bench state visible in the report"
+    );
     let _ = std::fs::remove_file(&script_path);
     let leaks = leaked_children();
     assert!(leaks.is_empty(), "leaked shard processes: {leaks:?}");

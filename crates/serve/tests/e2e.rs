@@ -191,9 +191,9 @@ fn served_results_are_bit_identical_to_offline_runs() {
             other => panic!("unexpected layout completion: {other:?}"),
         }
 
-        let stats = handle.shutdown();
-        assert!(stats.served >= all_ids.len());
-        assert_eq!(stats.rejected, 0, "no backpressure in this scenario");
+        let report = handle.shutdown();
+        assert!(report.completed >= all_ids.len());
+        assert_eq!(report.busy_rejected, 0, "no backpressure in this scenario");
     }
 }
 
@@ -260,8 +260,8 @@ fn saturated_queue_returns_typed_backpressure() {
             ref other => panic!("expected busy, got {other:?}"),
         }
     }
-    let stats = handle.shutdown();
-    assert_eq!(stats.rejected, 2);
+    let report = handle.shutdown();
+    assert_eq!(report.busy_rejected, 2);
 }
 
 /// Opens a raw connection, sends its `hello` preface line and returns the
@@ -428,7 +428,7 @@ fn connection_cap_rejects_extra_connections() {
 }
 
 /// A client `shutdown` request drains the server: the acknowledgement
-/// arrives, the connection closes, and the handle's shutdown reports stats.
+/// arrives, the connection closes, and the handle's final report counts the work.
 #[test]
 fn client_shutdown_request_drains_and_closes() {
     let handle = serve(ServerConfig::default()).expect("bind");
@@ -459,8 +459,8 @@ fn client_shutdown_request_drains_and_closes() {
         "work queued before shutdown must still be answered"
     );
     handle.wait_for_shutdown_request();
-    let stats = handle.shutdown();
-    assert!(stats.served >= 1);
+    let report = handle.shutdown();
+    assert!(report.completed >= 1);
 }
 
 /// The `metrics` request reports a plain server's own state: role,

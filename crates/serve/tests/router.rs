@@ -184,9 +184,9 @@ fn routed_results_are_bit_identical_to_offline_runs() {
         other => panic!("unexpected layout completion: {other:?}"),
     }
 
-    let stats = handle.shutdown();
-    assert_eq!(stats.rejected, 0, "no backpressure in this scenario");
-    assert!(stats.completed >= all_ids.len());
+    let report = handle.shutdown();
+    assert_eq!(report.busy_rejected, 0, "no backpressure in this scenario");
+    assert!(report.completed >= all_ids.len());
 }
 
 /// Killing a shard mid-stream redispatches its in-flight requests to the
@@ -253,26 +253,27 @@ fn killing_a_shard_mid_stream_stays_bit_identical() {
         assert_outcome_matches(&wire, &offline[i], &format!("optimize {i}"));
     }
 
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
+    let doomed_status = &report.shards[doomed];
     assert!(
-        !stats.shard_alive[doomed],
+        !doomed_status.alive,
         "the killed shard must stay dead (benched on first death)"
     );
     assert!(
-        stats.shard_benched[doomed],
+        doomed_status.benched,
         "a 1-failure breaker benches the shard immediately"
     );
     assert_eq!(
-        stats.respawns_per_shard[doomed], 0,
+        doomed_status.respawns, 0,
         "a benched shard is never respawned"
     );
     assert!(
-        stats.redispatched > 0,
+        report.redispatched > 0,
         "in-flight requests must have moved to the survivor"
     );
     assert!(
-        stats.forwarded_per_shard[1 - doomed] >= stats.redispatched,
-        "redispatches land on the survivor: {stats:?}"
+        report.shards[1 - doomed].forwarded >= report.redispatched,
+        "redispatches land on the survivor: {report:?}"
     );
 }
 
@@ -361,8 +362,8 @@ fn malformed_backend_frame_fails_the_shard_and_work_recomputes() {
         }
         other => panic!("unexpected completion: {other:?}"),
     }
-    let stats = handle.shutdown();
-    assert!(stats.redispatched >= 1, "{stats:?}");
+    let report = handle.shutdown();
+    assert!(report.redispatched >= 1, "{report:?}");
     real.shutdown();
 }
 
@@ -408,12 +409,12 @@ fn hung_shard_times_out_and_work_retries_elsewhere() {
         }
         other => panic!("unexpected completion: {other:?}"),
     }
-    let stats = handle.shutdown();
+    let report = handle.shutdown();
     assert!(
-        !stats.shard_alive[doomed],
-        "hung shard marked dead: {stats:?}"
+        !report.shards[doomed].alive,
+        "hung shard marked dead: {report:?}"
     );
-    assert!(stats.redispatched >= 1, "{stats:?}");
+    assert!(report.redispatched >= 1, "{report:?}");
     real.shutdown();
 }
 
@@ -484,10 +485,11 @@ fn fingerprint_affinity_lands_each_config_on_one_shard() {
             "request {id} completed as {completed:?}"
         );
     }
-    let stats = handle.shutdown();
-    assert_eq!(stats.redispatched, 0, "no failures in this scenario");
+    let report = handle.shutdown();
+    assert_eq!(report.redispatched, 0, "no failures in this scenario");
+    let forwarded: Vec<usize> = report.shards.iter().map(|s| s.forwarded).collect();
     assert_eq!(
-        stats.forwarded_per_shard, expected,
+        forwarded, expected,
         "every configuration's requests must land on its preferred shard"
     );
     // The workload actually exercised more than one shard.
@@ -513,13 +515,8 @@ fn shard_busy_propagates_to_the_client() {
         ..ServerConfig::default()
     })
     .expect("shard");
-    // One forwarder keeps the shard's arrival order equal to the send
-    // order, so the first two requests are the queued ones. Concurrent
-    // forwarders may swap them, and then a request this test waits for
-    // sits in the undrained queue forever.
     let config = RouterConfig {
         drain_timeout: Duration::from_millis(500),
-        forwarders: 1,
         ..RouterConfig::default()
     };
     let handle = route(config, &[shard.addr()]).expect("start router");

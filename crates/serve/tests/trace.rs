@@ -129,7 +129,7 @@ fn routed_trace_timeline_covers_every_hop() {
 
     // Router-side lifecycle stages.
     let router_stages = stage_names(&report);
-    for stage in ["admit", "queue-wait", "forward", "encode", "write"] {
+    for stage in ["admit", "forward", "encode", "write"] {
         assert!(
             router_stages.contains(stage),
             "router spans miss {stage}: {router_stages:?}"
@@ -138,7 +138,7 @@ fn routed_trace_timeline_covers_every_hop() {
 
     // The wire frame carried the router's trace id to the shard: some id
     // must appear on both hops, and its shard-side spans must cover the
-    // queue, the batcher, the context cache, the litho pipeline and the
+    // queue, the planner, the context cache, the litho pipeline and the
     // response writer.
     let router_ids: BTreeSet<u64> = report.spans.iter().map(|s| s.trace_id).collect();
     let mut cross_process = false;
@@ -160,7 +160,7 @@ fn routed_trace_timeline_covers_every_hop() {
     for stage in [
         "admit",
         "shard-queue",
-        "coalesce",
+        "plan",
         "context-fetch",
         "rasterize",
         "convolve",
